@@ -242,6 +242,17 @@ void BenchGraph(const std::string& name, const graph::Graph& g, int repeats,
              results);
   hybrid_result.waves = static_cast<int64_t>(hybrid_waves);
 
+  // --- edge_rank_hybrid: the ranking crr_reduce_e2e actually pays for —
+  // the same fast-path sweeps plus the packed-key edge order — so
+  // crr_reduce_e2e minus this row is what CRR adds on top of its ranking. ---
+  TimeOp(name, g, "edge_rank_hybrid", repeats,
+         [&]() {
+           auto ranked = analytics::EdgesByBetweennessDescending(g, fast);
+           EDGESHED_CHECK_EQ(ranked.size(), g.NumEdges());
+         },
+         results)
+      .waves = static_cast<int64_t>(hybrid_waves);
+
   // --- crr_reduce / crr_reduce_traced: random init isolates the Phase-2
   // swap loop (ranking is timed separately above). The traced variant wraps
   // the same reduction in a live Tracer span and typed-metrics recording,

@@ -105,10 +105,28 @@ struct BetweennessScores {
 BetweennessScores Betweenness(const graph::Graph& g,
                               const BetweennessOptions& options = {});
 
-/// Edge ids of `g` sorted by non-increasing betweenness (ties broken by
-/// edge id for determinism). Convenience for CRR Phase 1.
+/// Edge ids of `g` sorted by non-increasing betweenness, ties by ascending
+/// edge id: the unique (score desc, id asc) order of the scores
+/// Betweenness(g, options) returns, so identical for every thread count.
+/// This is CRR Phase 1's ranking. Built by a stable radix sort over packed
+/// score keys (DESIGN.md §12, "Ranking order"); node scores are never
+/// merged. When options.cancel trips the ids are meaningless and the caller
+/// must discard them.
 std::vector<graph::EdgeId> EdgesByBetweennessDescending(
     const graph::Graph& g, const BetweennessOptions& options = {});
+
+/// Order-preserving 64-bit key of a non-negative score (betweenness is
+/// never negative): a higher score gets a smaller key and equal scores
+/// (0.0 and -0.0 included) get equal keys, so ascending (key, id) order is
+/// the (score desc, id asc) ranking order.
+uint64_t DescendingScoreKey(double score);
+
+/// Sets `top` to a bitmap over keys.size() edges (bit e of word e/64) that
+/// marks the min(k, keys.size()) edges first in ascending (key, id) order:
+/// the top-k of the ranking, with ties at the threshold going to the lowest
+/// ids. The adaptive-wave stop check compares consecutive waves with it.
+void MarkTopKEdges(const std::vector<uint64_t>& keys, uint64_t k,
+                   std::vector<uint64_t>* top);
 
 }  // namespace edgeshed::analytics
 

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/parallel.h"
+#include "common/radix_sort.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "core/discrepancy.h"
@@ -133,7 +134,7 @@ StatusOr<SheddingResult> Crr::Shed(const graph::Graph& g,
 
   result.kept_edges.resize(kept.size());
   for (size_t i = 0; i < kept.size(); ++i) result.kept_edges[i] = kept[i].id;
-  ParallelSort(result.kept_edges.begin(), result.kept_edges.end());
+  RadixSortWords(&result.kept_edges);
   result.total_delta = discrepancy.TotalDelta();
   result.average_delta = discrepancy.AverageDelta();
   result.reduction_seconds = total_watch.ElapsedSeconds();

@@ -6,6 +6,7 @@
 #include <functional>
 
 #include "common/check.h"
+#include "common/radix_sort.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
 
@@ -26,45 +27,6 @@ uint64_t TargetCount(uint64_t edges, double p) {
 uint64_t FullSteps(double multiplier, double p, uint64_t edges) {
   const double steps = multiplier * p * static_cast<double>(edges);
   return steps <= 0.0 ? 0 : static_cast<uint64_t>(std::llround(steps));
-}
-
-/// LSD radix sort over 16-bit digits, with passes skipped above the top
-/// set bit. BuildResult sorts ~|kept| packed edge keys on every reshed, so
-/// this sits on the incremental hot path where it beats the comparison
-/// sort severalfold; tiny inputs fall back to std::sort.
-template <typename Word>
-void RadixSortWords(std::vector<Word>* words) {
-  if (words->size() < 4096) {
-    std::sort(words->begin(), words->end());
-    return;
-  }
-  Word max_word = 0;
-  for (const Word word : *words) max_word = std::max(max_word, word);
-  std::vector<Word> scratch(words->size());
-  std::vector<uint32_t> counts(1u << 16);
-  Word* src = words->data();
-  Word* dst = scratch.data();
-  int passes = 0;
-  for (int shift = 0; shift < int{sizeof(Word)} * 8 &&
-                      (max_word >> shift) != 0;
-       shift += 16) {
-    std::fill(counts.begin(), counts.end(), 0);
-    for (size_t i = 0; i < words->size(); ++i) {
-      ++counts[(src[i] >> shift) & 0xFFFF];
-    }
-    uint32_t running = 0;
-    for (uint32_t& c : counts) {
-      const uint32_t count = c;
-      c = running;
-      running += count;
-    }
-    for (size_t i = 0; i < words->size(); ++i) {
-      dst[counts[(src[i] >> shift) & 0xFFFF]++] = src[i];
-    }
-    std::swap(src, dst);
-    ++passes;
-  }
-  if (passes % 2 == 1) words->swap(scratch);
 }
 
 }  // namespace

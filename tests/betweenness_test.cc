@@ -3,10 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <limits>
 #include <numeric>
+#include <random>
+#include <string>
 #include <unordered_set>
 
+#include "common/stopwatch.h"
 #include "graph/generators/generators.h"
+#include "graph/graph_builder.h"
 #include "testing/test_graphs.h"
 
 namespace edgeshed::analytics {
@@ -360,6 +366,229 @@ TEST(AdaptiveWaveTest, WaveScheduleIsThreadCountInvariant) {
   auto b = Betweenness(g, many);
   EXPECT_EQ(a.waves, b.waves);
   ExpectBitIdentical(a, b);
+}
+
+// ---- Ranking order (DESIGN.md §12, "Ranking order") ----
+
+/// `copies` disjoint side x side grids. Every copy has the same scores, so
+/// tie groups span the copies, and a sampled run leaves the copies no
+/// source reached at score 0.
+graph::Graph Grids(graph::NodeId copies, graph::NodeId side) {
+  graph::GraphBuilder builder;
+  for (graph::NodeId c = 0; c < copies; ++c) {
+    const graph::NodeId base = c * side * side;
+    for (graph::NodeId row = 0; row < side; ++row) {
+      for (graph::NodeId col = 0; col < side; ++col) {
+        const graph::NodeId v = base + row * side + col;
+        if (col + 1 < side) builder.AddEdge(v, v + 1);
+        if (row + 1 < side) builder.AddEdge(v, v + side);
+      }
+    }
+  }
+  return builder.Build();
+}
+
+/// The ranking oracle: edge ids stable-sorted by score descending, so ties
+/// keep ascending id order.
+std::vector<graph::EdgeId> ReferenceOrder(const std::vector<double>& scores) {
+  std::vector<graph::EdgeId> ids(scores.size());
+  std::iota(ids.begin(), ids.end(), graph::EdgeId{0});
+  std::stable_sort(ids.begin(), ids.end(),
+                   [&scores](graph::EdgeId a, graph::EdgeId b) {
+                     return scores[a] > scores[b];
+                   });
+  return ids;
+}
+
+/// The wave top-k selection before packed keys: an nth_element over ids
+/// with the (score desc, id asc) comparator, ids returned ascending.
+std::vector<graph::EdgeId> ReferenceTopK(const std::vector<double>& scores,
+                                         uint64_t k) {
+  std::vector<graph::EdgeId> ids(scores.size());
+  std::iota(ids.begin(), ids.end(), graph::EdgeId{0});
+  k = std::min<uint64_t>(k, ids.size());
+  std::nth_element(ids.begin(), ids.begin() + static_cast<ptrdiff_t>(k),
+                   ids.end(), [&scores](graph::EdgeId a, graph::EdgeId b) {
+                     if (scores[a] != scores[b]) return scores[a] > scores[b];
+                     return a < b;
+                   });
+  ids.resize(k);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+std::vector<graph::EdgeId> MarkedIds(const std::vector<uint64_t>& bits) {
+  std::vector<graph::EdgeId> ids;
+  for (graph::EdgeId e = 0; e < bits.size() * 64; ++e) {
+    if ((bits[e >> 6] >> (e & 63)) & 1u) ids.push_back(e);
+  }
+  return ids;
+}
+
+/// Runs ranking checks under EDGESHED_THREADS = 1, 2 and 4 (options.threads
+/// stays 0, so DefaultThreadCount() decides) and restores the variable.
+class RankingOrderTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const char* previous = std::getenv("EDGESHED_THREADS");
+    had_previous_ = previous != nullptr;
+    if (had_previous_) previous_ = previous;
+  }
+  void TearDown() override {
+    if (had_previous_) {
+      ::setenv("EDGESHED_THREADS", previous_.c_str(), 1);
+    } else {
+      ::unsetenv("EDGESHED_THREADS");
+    }
+  }
+
+  /// EdgesByBetweennessDescending must equal the oracle order over
+  /// Betweenness()'s scores at every thread count.
+  static void ExpectOracleOrder(const graph::Graph& g,
+                                const BetweennessOptions& options) {
+    for (const char* threads : {"1", "2", "4"}) {
+      ::setenv("EDGESHED_THREADS", threads, 1);
+      SCOPED_TRACE(::testing::Message() << "EDGESHED_THREADS=" << threads);
+      const BetweennessScores scores = Betweenness(g, options);
+      EXPECT_EQ(EdgesByBetweennessDescending(g, options),
+                ReferenceOrder(scores.edge));
+    }
+  }
+
+  bool had_previous_ = false;
+  std::string previous_;
+};
+
+TEST_F(RankingOrderTest, MatchesOracleOnTieHeavyGraphs) {
+  std::vector<graph::Graph> graphs;
+  graphs.push_back(Star(40));
+  graphs.push_back(Cycle(64));
+  graphs.push_back(Clique(12));
+  graphs.push_back(Grids(1, 12));
+  graphs.push_back(Grids(300, 3));  // 3600 edges: the radix path, not the
+                                    // small-input fallback
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "graph " << i);
+    ExpectOracleOrder(graphs[i], BetweennessOptions::Exact());
+  }
+}
+
+TEST_F(RankingOrderTest, MatchesOracleWithZeroScoredIsolatedEdges) {
+  // A path plus 3000 isolated edges, ranked from 8 sampled sources: every
+  // isolated edge no source landed on scores exactly 0.
+  std::vector<graph::Edge> edges;
+  for (graph::NodeId v = 0; v + 1 < 50; ++v) edges.push_back({v, v + 1});
+  for (graph::NodeId v = 50; v < 50 + 2 * 3000; v += 2) {
+    edges.push_back({v, v + 1});
+  }
+  const graph::Graph g = edgeshed::testing::MustBuild(50 + 2 * 3000, edges);
+  BetweennessOptions options;
+  options.exact_node_threshold = 1;
+  options.sample_sources = 8;
+  const BetweennessScores scores = Betweenness(g, options);
+  ASSERT_GT(std::count(scores.edge.begin(), scores.edge.end(), 0.0), 2900);
+  ExpectOracleOrder(g, options);
+}
+
+TEST_F(RankingOrderTest, MatchesOracleOnSampledFastRanking) {
+  Rng rng(49);
+  std::vector<graph::Graph> graphs;
+  graphs.push_back(graph::BarabasiAlbert(6000, 3, rng));
+  graphs.push_back(graph::RMat(12, 8, 0.57, 0.19, 0.19, rng));
+  BetweennessOptions options = BetweennessOptions::FastRanking();
+  options.exact_node_threshold = 1024;  // sample, so the waves engage
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "graph " << i);
+    ExpectOracleOrder(graphs[i], options);
+  }
+}
+
+TEST_F(RankingOrderTest, WaveTopKSplittingATieGroupKeepsTheStopDecision) {
+  // 60 disjoint 3x3 grids: 720 edges, of which one 8-source wave reaches at
+  // most 96, so a top-100 or top-200 cut always splits the tie group at
+  // score 0 (and often the equal positive scores of the grids). The
+  // expected (waves, sources) are what the nth_element selection gave;
+  // taking ties by highest id instead would give (12, 96), (8, 64) and
+  // (5, 40).
+  const graph::Graph g = Grids(60, 3);
+  struct Case {
+    uint64_t top_k;
+    double stability;
+    uint64_t waves;
+    uint64_t sources;
+  };
+  for (const Case& c : {Case{100, 0.9, 7, 56}, Case{200, 0.9, 11, 88},
+                        Case{200, 0.8, 4, 32}}) {
+    BetweennessOptions options;
+    options.exact_node_threshold = 1;
+    options.sample_sources = 96;
+    options.wave_size = 8;
+    options.wave_top_k = c.top_k;
+    options.wave_stability = c.stability;
+    for (const char* threads : {"1", "2", "4"}) {
+      ::setenv("EDGESHED_THREADS", threads, 1);
+      SCOPED_TRACE(::testing::Message()
+                   << "k=" << c.top_k << " stability=" << c.stability
+                   << " EDGESHED_THREADS=" << threads);
+      const BetweennessScores scores = Betweenness(g, options);
+      EXPECT_EQ(scores.waves, c.waves);
+      EXPECT_EQ(scores.sources_processed, c.sources);
+    }
+    ExpectOracleOrder(g, options);
+  }
+}
+
+TEST(RankingPrimitivesTest, MarkTopKEdgesMatchesNthElementSelection) {
+  // Five distinct scores over 5000 edges: every k below splits a tie group.
+  std::mt19937_64 gen(50);
+  std::vector<double> scores(5000);
+  for (double& s : scores) s = static_cast<double>(gen() % 5) * 0.5;
+  std::vector<double> all_equal(3000, 1.25);
+  for (const auto* input : {&scores, &all_equal}) {
+    std::vector<uint64_t> keys(input->size());
+    for (size_t e = 0; e < keys.size(); ++e) {
+      keys[e] = DescendingScoreKey((*input)[e]);
+    }
+    for (uint64_t k : {uint64_t{0}, uint64_t{1}, uint64_t{17}, uint64_t{999},
+                       uint64_t{2500}, uint64_t{2999}, uint64_t{3000},
+                       uint64_t{4999}, uint64_t{5000}, uint64_t{6000}}) {
+      SCOPED_TRACE(::testing::Message() << "m=" << keys.size() << " k=" << k);
+      std::vector<uint64_t> top;
+      MarkTopKEdges(keys, k, &top);
+      ASSERT_EQ(top.size(), (keys.size() + 63) / 64);
+      EXPECT_EQ(MarkedIds(top), ReferenceTopK(*input, k));
+    }
+  }
+}
+
+TEST(RankingPrimitivesTest, DescendingScoreKeyReversesScoreOrder) {
+  const std::vector<double> descending = {
+      std::numeric_limits<double>::infinity(), 1e300, 3.5, 1.0, 1e-300,
+      std::numeric_limits<double>::denorm_min(), 0.0};
+  for (size_t i = 1; i < descending.size(); ++i) {
+    EXPECT_LT(DescendingScoreKey(descending[i - 1]),
+              DescendingScoreKey(descending[i]))
+        << descending[i - 1] << " vs " << descending[i];
+  }
+  EXPECT_EQ(DescendingScoreKey(0.0), DescendingScoreKey(-0.0));
+}
+
+TEST(RankingPrimitivesTest, CancelledRankingReturnsPromptly) {
+  // The token trips before the first sweep: ranking must not sweep or sort,
+  // and returns an id vector of the right size that the caller discards
+  // (Crr::Shed checks the token and returns kCancelled).
+  Rng rng(51);
+  const graph::Graph g = graph::BarabasiAlbert(20000, 4, rng);
+  CancellationToken token;
+  token.Cancel();
+  BetweennessOptions options = BetweennessOptions::FastRanking();
+  options.cancel = &token;
+  Stopwatch watch;
+  const std::vector<graph::EdgeId> ids =
+      EdgesByBetweennessDescending(g, options);
+  EXPECT_LT(watch.ElapsedSeconds(), 1.0);
+  EXPECT_EQ(ids.size(), g.NumEdges());
+  EXPECT_TRUE(CancellationRequested(options.cancel));
 }
 
 }  // namespace

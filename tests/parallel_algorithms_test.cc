@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <numeric>
 #include <random>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "common/radix_sort.h"
 
 namespace edgeshed {
 namespace {
@@ -142,6 +145,112 @@ TEST(TemplatedParallelForTest, GrainOneDispatchesSmallRanges) {
   for (size_t i = 0; i < touched.size(); ++i) {
     EXPECT_EQ(touched[i], 1) << "index " << i;
   }
+}
+
+// ---- StableRadixSort / RadixSortWords (common/radix_sort.h) ----
+
+/// A 64-bit key with the input position as payload, so stability is
+/// visible in the output.
+struct KeyedIndex {
+  uint64_t key;
+  uint64_t index;
+  bool operator==(const KeyedIndex&) const = default;
+};
+
+std::vector<KeyedIndex> WithIndices(const std::vector<uint64_t>& keys) {
+  std::vector<KeyedIndex> items(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) items[i] = {keys[i], i};
+  return items;
+}
+
+/// The radix sort's contract: exactly std::stable_sort by key.
+void ExpectMatchesStableSort(const std::vector<uint64_t>& keys) {
+  std::vector<KeyedIndex> expected = WithIndices(keys);
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const KeyedIndex& a, const KeyedIndex& b) {
+                     return a.key < b.key;
+                   });
+  std::vector<KeyedIndex> got = WithIndices(keys);
+  StableRadixSort(&got, [](const KeyedIndex& item) { return item.key; });
+  EXPECT_EQ(got, expected);
+}
+
+TEST(RadixSortTest, EmptyAndSingleElement) {
+  std::vector<KeyedIndex> empty;
+  StableRadixSort(&empty, [](const KeyedIndex& item) { return item.key; });
+  EXPECT_TRUE(empty.empty());
+  std::vector<uint32_t> no_words;
+  RadixSortWords(&no_words);
+  EXPECT_TRUE(no_words.empty());
+
+  std::vector<KeyedIndex> one = {{~uint64_t{0}, 7}};
+  StableRadixSort(&one, [](const KeyedIndex& item) { return item.key; });
+  EXPECT_EQ(one, std::vector<KeyedIndex>({{~uint64_t{0}, 7}}));
+}
+
+TEST(RadixSortTest, BelowTheFallbackSizeStaysStable) {
+  std::mt19937_64 gen(21);
+  std::vector<uint64_t> keys(kRadixSortMinSize - 1);
+  for (auto& key : keys) key = gen() % 16;
+  ExpectMatchesStableSort(keys);
+}
+
+TEST(RadixSortTest, AllEqualKeysKeepPayloadOrder) {
+  // No digit varies, so no pass runs and the input order is the output.
+  const std::vector<uint64_t> keys(3 * kRadixSortMinSize, 0x5A5A5A5A5A5Aull);
+  std::vector<KeyedIndex> got = WithIndices(keys);
+  StableRadixSort(&got, [](const KeyedIndex& item) { return item.key; });
+  EXPECT_EQ(got, WithIndices(keys));
+}
+
+TEST(RadixSortTest, KeysWithTheTopBitSet) {
+  // Only the top digit (bits 55-63) separates half of these keys.
+  std::mt19937_64 gen(22);
+  std::vector<uint64_t> keys(10000);
+  for (auto& key : keys) {
+    key = (gen() % 2 == 0 ? uint64_t{1} << 63 : 0) | (gen() % 64);
+  }
+  ExpectMatchesStableSort(keys);
+}
+
+TEST(RadixSortTest, ZeroScoreKeys) {
+  // Ranking keys ~bits(score) of non-negative doubles, a third of them 0.0:
+  // the zero scores sort last and stay in input order among themselves.
+  std::mt19937_64 gen(23);
+  std::vector<uint64_t> keys(9000);
+  for (auto& key : keys) {
+    const double score =
+        gen() % 3 == 0 ? 0.0 : static_cast<double>(gen() % 1000) / 7.0;
+    key = ~std::bit_cast<uint64_t>(score);
+  }
+  ExpectMatchesStableSort(keys);
+}
+
+TEST(RadixSortTest, MatchesStableSortOnDuplicateHeavyRandomKeys) {
+  // 500 distinct full-width keys over 200k items: every digit varies and
+  // every key repeats ~400 times.
+  std::mt19937_64 gen(24);
+  std::vector<uint64_t> distinct(500);
+  for (auto& key : distinct) key = gen();
+  std::vector<uint64_t> keys(200000);
+  for (auto& key : keys) key = distinct[gen() % distinct.size()];
+  ExpectMatchesStableSort(keys);
+}
+
+TEST(RadixSortTest, WordsMatchStdSort) {
+  std::mt19937_64 gen(25);
+  std::vector<uint32_t> narrow(50000);
+  for (auto& word : narrow) word = static_cast<uint32_t>(gen() % 70000);
+  std::vector<uint64_t> wide(50000);
+  for (auto& word : wide) word = gen();
+  std::vector<uint32_t> narrow_expected = narrow;
+  std::sort(narrow_expected.begin(), narrow_expected.end());
+  std::vector<uint64_t> wide_expected = wide;
+  std::sort(wide_expected.begin(), wide_expected.end());
+  RadixSortWords(&narrow);
+  RadixSortWords(&wide);
+  EXPECT_EQ(narrow, narrow_expected);
+  EXPECT_EQ(wide, wide_expected);
 }
 
 }  // namespace
