@@ -110,6 +110,13 @@ TEST_F(RpcServerTest, PingEchoesToken) {
   EXPECT_EQ(*token, 0xC0FFEEu);
   EXPECT_GE(Counter("net.requests_total"), 1u);
   EXPECT_GT(Counter("net.bytes_in"), 0u);
+  // The server counts sent bytes after send() returns, so the reply can
+  // reach the client before the count lands: wait for it, don't race it.
+  const auto deadline = std::chrono::steady_clock::now() + milliseconds(5000);
+  while (Counter("net.bytes_out") == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
   EXPECT_GT(Counter("net.bytes_out"), 0u);
 }
 
