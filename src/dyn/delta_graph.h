@@ -1,6 +1,7 @@
 #ifndef EDGESHED_DYN_DELTA_GRAPH_H_
 #define EDGESHED_DYN_DELTA_GRAPH_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -98,11 +99,17 @@ class DeltaGraph {
 
   /// Calls `fn(const Edge&)` for every live edge in canonical sorted order —
   /// exactly the edges() order of the materialized graph. Sorted merge of
-  /// the base edge list (skipping deleted ids) with the sorted insert list.
+  /// the base edge list with the sorted insert list; deleted base ids are
+  /// sorted once per call and skipped with a cursor, since the walk visits
+  /// base ids in ascending order.
   template <typename Fn>
   void ForEachLiveEdge(Fn&& fn) const {
     const std::span<const graph::Edge> base_edges = base_->edges();
+    std::vector<graph::EdgeId> deleted(deleted_ids_.begin(),
+                                       deleted_ids_.end());
+    std::sort(deleted.begin(), deleted.end());
     size_t bi = 0;
+    size_t di = 0;
     size_t ii = 0;
     while (bi < base_edges.size() || ii < inserted_.size()) {
       const bool take_base =
@@ -111,7 +118,10 @@ class DeltaGraph {
       if (take_base) {
         const graph::EdgeId id = static_cast<graph::EdgeId>(bi);
         const graph::Edge& e = base_edges[bi++];
-        if (deleted_ids_.count(id) != 0) continue;
+        if (di < deleted.size() && deleted[di] == id) {
+          ++di;
+          continue;
+        }
         fn(e);
       } else {
         fn(inserted_[ii++]);

@@ -95,6 +95,24 @@ StatusOr<Graph> Graph::FromEdges(NodeId num_nodes, std::vector<Edge> edges) {
         StrFormat("self-loop at node %u; simple graphs only", e.u));
   }
 
+  // Input that is already strictly ascending (kept pairs, live-edge walks,
+  // subgraphs of ascending ids) is sorted and duplicate-free as given: skip
+  // the sort and the duplicate scan. Anything else takes the general path,
+  // so errors and their first offenders are unchanged.
+  std::atomic<bool> unsorted{false};
+  ParallelFor(1, m, [&](uint64_t begin, uint64_t end) {
+    if (unsorted.load(std::memory_order_relaxed)) return;
+    for (uint64_t i = begin; i < end; ++i) {
+      if (!(edges[i - 1] < edges[i])) {
+        unsorted.store(true, std::memory_order_relaxed);
+        return;
+      }
+    }
+  });
+  if (!unsorted.load(std::memory_order_relaxed)) {
+    return Graph(num_nodes, std::move(edges));
+  }
+
   ParallelSort(edges.begin(), edges.end());
 
   // Duplicate detection: each pair of adjacent equal edges is visible from

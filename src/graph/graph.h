@@ -87,6 +87,7 @@ class Graph {
   /// Builds a graph over `num_nodes` vertices from an arbitrary-order edge
   /// list. Returns InvalidArgument on self-loops, duplicates, or endpoints
   /// outside [0, num_nodes). Use GraphBuilder to clean raw data first.
+  /// Input that is strictly ascending once canonicalized skips the sort.
   static StatusOr<Graph> FromEdges(NodeId num_nodes, std::vector<Edge> edges);
 
   /// Adopts pre-built CSR arrays without copying them (mmap zero-copy

@@ -824,10 +824,15 @@ StatusOr<core::SheddingResult> JobScheduler::ExecuteIncremental(
   result.stats.emplace_back("dirty_vertices",
                             static_cast<double>(reshed->dirty_vertices));
   if (!spec.output_path.empty()) {
+    // G' straight from the kept pairs: they are canonical, sorted and
+    // unique, and the mapping pass above proved each one live, so this
+    // equals the kept subgraph of the materialized snapshot.
     Stopwatch write_watch;
-    EDGESHED_ASSIGN_OR_RETURN(graph::Graph parent,
-                              reshed->snapshot->Materialize());
-    graph::Graph reduced = result.BuildReducedGraph(parent);
+    EDGESHED_ASSIGN_OR_RETURN(
+        graph::Graph reduced,
+        graph::Graph::FromEdges(
+            static_cast<graph::NodeId>(reshed->snapshot->NumNodes()),
+            std::move(reshed->kept)));
     if (Status saved = graph::SaveBinaryGraph(reduced, spec.output_path,
                                               graph::SnapshotOptions{});
         !saved.ok()) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "dyn/delta_graph.h"
@@ -211,6 +213,69 @@ TEST(DynDeltaGraph, MaterializeMatchesFromScratchBitIdentically) {
                                        materialized->RawIncident().end()),
             std::vector<graph::EdgeId>(scratch->RawIncident().begin(),
                                        scratch->RawIncident().end()));
+}
+
+/// Applies `batches` to an uncompacted overlay on `base` and checks that
+/// LiveEdges() and Materialize() equal a from-scratch build over the live
+/// set tracked independently here.
+void ExpectLiveEdgesMatchFromScratch(const graph::Graph& base,
+                                     const std::vector<MutationBatch>& batches) {
+  VersionedGraphOptions options;
+  options.auto_compact = false;
+  VersionedGraph vg(base, options);
+  std::set<Edge> live(base.edges().begin(), base.edges().end());
+  for (const MutationBatch& batch : batches) {
+    ASSERT_TRUE(vg.ApplyBatch(batch).ok());
+    for (const Edge& e : batch.deletes) live.erase(e);
+    for (const Edge& e : batch.inserts) live.insert(e);
+  }
+  const std::vector<Edge> expected(live.begin(), live.end());
+  auto snap = vg.Snapshot();
+  EXPECT_EQ(snap->LiveEdges(), expected);
+  auto materialized = snap->Materialize();
+  ASSERT_TRUE(materialized.ok()) << materialized.status();
+  auto scratch = graph::Graph::FromEdges(
+      static_cast<NodeId>(base.NumNodes()), expected);
+  ASSERT_TRUE(scratch.ok());
+  EXPECT_TRUE(materialized->edges() == scratch->edges());
+  EXPECT_TRUE(std::ranges::equal(materialized->RawOffsets(),
+                                 scratch->RawOffsets()));
+  EXPECT_TRUE(std::ranges::equal(materialized->RawAdjacency(),
+                                 scratch->RawAdjacency()));
+  EXPECT_TRUE(std::ranges::equal(materialized->RawIncident(),
+                                 scratch->RawIncident()));
+}
+
+// Cycle(8) base ids, canonical order: 0 {0,1}, 1 {0,7}, 2 {1,2}, 3 {2,3},
+// 4 {3,4}, 5 {4,5}, 6 {5,6}, 7 {6,7}.
+
+TEST(DynDeltaGraph, LiveEdgesSkipFirstAndLastBaseIds) {
+  const graph::Graph base = testing::Cycle(8);
+  ExpectLiveEdgesMatchFromScratch(base, {Batch({}, {{0, 1}, {6, 7}})});
+  // Inserts become the first and the last live edge.
+  ExpectLiveEdgesMatchFromScratch(
+      base, {Batch({{0, 2}, {5, 7}}, {{0, 1}}), Batch({}, {{6, 7}})});
+}
+
+TEST(DynDeltaGraph, LiveEdgesSkipConsecutiveBaseIds) {
+  const graph::Graph base = testing::Cycle(8);
+  ExpectLiveEdgesMatchFromScratch(
+      base, {Batch({{2, 5}}, {{2, 3}, {3, 4}}),
+             Batch({{1, 4}}, {{1, 2}, {4, 5}})});
+}
+
+TEST(DynDeltaGraph, LiveEdgesWithEveryBaseEdgeDeleted) {
+  const graph::Graph base = testing::Cycle(8);
+  const std::vector<Edge> all(base.edges().begin(), base.edges().end());
+  ExpectLiveEdgesMatchFromScratch(base, {Batch({}, all)});
+  ExpectLiveEdgesMatchFromScratch(base, {Batch({{0, 2}, {1, 3}}, all)});
+}
+
+TEST(DynDeltaGraph, LiveEdgesAfterReinsertingDeletedBaseEdge) {
+  const graph::Graph base = testing::Cycle(8);
+  ExpectLiveEdgesMatchFromScratch(
+      base, {Batch({{0, 4}}, {{0, 1}, {3, 4}, {6, 7}}), Batch({{3, 4}}, {}),
+             Batch({{0, 1}}, {{0, 4}, {2, 3}})});
 }
 
 TEST(DynDeltaGraph, BackgroundCompactionPreservesVersionsAndEdges) {

@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -13,6 +16,7 @@
 
 #include "common/random.h"
 #include "dyn/versioned_graph.h"
+#include "graph/binary_io.h"
 #include "graph/mutation_io.h"
 #include "service/graph_store.h"
 #include "service/job_scheduler.h"
@@ -226,6 +230,79 @@ TEST(JobSchedulerDynTest, CrrIncReshedsIncrementallyAfterMutations) {
   for (const graph::EdgeId id : (*warm_result)->kept_edges) {
     ASSERT_LT(id, live);
   }
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(JobSchedulerDynTest, CrrIncOutputMatchesMaterializedSubgraphByteForByte) {
+  MetricsRegistry metrics;
+  GraphStore store({}, &metrics);
+  const graph::Graph base = RandomGraph(80, 160, 9);
+  RegisterGraph(store, "g", base);
+  JobScheduler scheduler(&store, &metrics, {.workers = 2});
+  auto dyn = store.DynGraph("g");
+  ASSERT_TRUE(dyn.ok()) << dyn.status();
+
+  // Two pairs absent from the base, to insert through the overlay.
+  std::vector<graph::Edge> absent;
+  for (graph::NodeId v = 2; absent.size() < 2; ++v) {
+    if (!base.HasEdge(0, v)) absent.push_back({0, v});
+  }
+  const graph::Edge first = base.edge(0);
+  const graph::Edge last = base.edge(base.NumEdges() - 1);
+  const graph::Edge middle = base.edge(base.NumEdges() / 2);
+
+  // Runs a crr-inc job with an output path and checks the written file is
+  // byte-identical to the kept subgraph cut out of the materialized
+  // snapshot, and that the job kept round(p·live) edges.
+  int jobs = 0;
+  const auto expect_identical_output = [&](const std::string& label) {
+    SCOPED_TRACE(label);
+    const std::string stem =
+        ::testing::TempDir() + "/crr_inc_" + std::to_string(jobs++);
+    JobSpec spec{"g", "crr-inc", 0.5, 42};
+    spec.output_path = stem + ".esg";
+    auto id = scheduler.Submit(spec);
+    ASSERT_TRUE(id.ok()) << id.status();
+    auto result = scheduler.Wait(*id);
+    ASSERT_TRUE(result.ok()) << result.status();
+
+    const auto snapshot = (*dyn)->Snapshot();
+    double version = -1.0;
+    for (const auto& [key, value] : (*result)->stats) {
+      if (key == "version") version = value;
+    }
+    ASSERT_EQ(version, static_cast<double>(snapshot->version()));
+    EXPECT_EQ((*result)->kept_edges.size(),
+              static_cast<size_t>(std::llround(0.5 * snapshot->NumEdges())));
+    auto parent = snapshot->Materialize();
+    ASSERT_TRUE(parent.ok()) << parent.status();
+    const std::string reference = stem + "_reference.esg";
+    ASSERT_TRUE(graph::SaveBinaryGraph(
+                    graph::SubgraphFromEdgeIds(*parent,
+                                               (*result)->kept_edges),
+                    reference, graph::SnapshotOptions{})
+                    .ok());
+    const std::string written = ReadBytes(spec.output_path);
+    ASSERT_FALSE(written.empty());
+    EXPECT_TRUE(written == ReadBytes(reference));
+  };
+
+  expect_identical_output("cold");
+  // Overlay inserts; deletes of base edge 0, the last base edge and one
+  // in between.
+  ASSERT_TRUE(
+      store.ApplyMutations("g", Batch(absent, {first, last, middle})).ok());
+  expect_identical_output("base edge 0 and the last base edge deleted");
+  // Re-insert a deleted base edge and delete an overlay insert.
+  ASSERT_TRUE(store.ApplyMutations("g", Batch({middle}, {absent[0]})).ok());
+  expect_identical_output("base edge re-inserted, overlay insert deleted");
+  ASSERT_TRUE((*dyn)->Compact().ok());
+  EXPECT_EQ((*dyn)->Snapshot()->OverlaySize(), 0u);
+  expect_identical_output("after compaction");
 }
 
 TEST(JobSchedulerDynTest, MutationInvalidatesResultCache) {

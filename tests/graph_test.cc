@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "testing/test_graphs.h"
 
@@ -117,6 +119,91 @@ TEST(GraphTest, StarDegrees) {
   auto g = Star(10);
   EXPECT_EQ(g.Degree(0), 9u);
   for (NodeId u = 1; u < 10; ++u) EXPECT_EQ(g.Degree(u), 1u);
+}
+
+// Raw CSR arrays and edge list, for comparing two builds bit for bit.
+struct CsrArrays {
+  std::vector<uint64_t> offsets;
+  std::vector<NodeId> adjacency;
+  std::vector<EdgeId> incident;
+  std::vector<Edge> edges;
+  bool operator==(const CsrArrays&) const = default;
+};
+
+CsrArrays ArraysOf(const Graph& g) {
+  return {{g.RawOffsets().begin(), g.RawOffsets().end()},
+          {g.RawAdjacency().begin(), g.RawAdjacency().end()},
+          {g.RawIncident().begin(), g.RawIncident().end()},
+          {g.edges().begin(), g.edges().end()}};
+}
+
+/// Sorted canonical edges of a pseudo-random simple graph; large enough
+/// that FromEdges' parallel scans split the input into several chunks.
+std::vector<Edge> SortedRandomEdges(NodeId n, uint64_t count) {
+  std::vector<Edge> edges;
+  uint64_t state = 12345;
+  while (edges.size() < count) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    const auto u = static_cast<NodeId>((state >> 33) % n);
+    const auto v = static_cast<NodeId>((state >> 13) % n);
+    if (u != v) edges.push_back({std::min(u, v), std::max(u, v)});
+  }
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  return edges;
+}
+
+TEST(GraphTest, SortedAndShuffledInputBuildIdenticalGraphs) {
+  const std::vector<Edge> sorted = SortedRandomEdges(500, 6000);
+  std::vector<Edge> shuffled = sorted;
+  std::reverse(shuffled.begin(), shuffled.end());
+  std::swap(shuffled[0], shuffled[shuffled.size() / 2]);
+  auto from_sorted = Graph::FromEdges(500, sorted);
+  auto from_shuffled = Graph::FromEdges(500, shuffled);
+  ASSERT_TRUE(from_sorted.ok()) << from_sorted.status();
+  ASSERT_TRUE(from_shuffled.ok()) << from_shuffled.status();
+  EXPECT_TRUE(ArraysOf(*from_sorted) == ArraysOf(*from_shuffled));
+  EXPECT_TRUE(std::equal(sorted.begin(), sorted.end(),
+                         from_sorted->edges().begin(),
+                         from_sorted->edges().end()));
+}
+
+TEST(GraphTest, SortedInputWithAdjacentDuplicateNamesThePair) {
+  std::vector<Edge> edges = SortedRandomEdges(500, 6000);
+  const Edge dup = edges[edges.size() / 3];
+  edges.insert(edges.begin() + edges.size() / 3, dup);
+  auto result = Graph::FromEdges(500, edges);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(result.status().message(),
+            "duplicate edge (" + std::to_string(dup.u) + ", " +
+                std::to_string(dup.v) + ")");
+}
+
+TEST(GraphTest, InputSortedOnlyAfterCanonicalizingBuildsTheSameGraph) {
+  const std::vector<Edge> sorted = SortedRandomEdges(500, 6000);
+  std::vector<Edge> flipped = sorted;
+  for (size_t i = 0; i < flipped.size(); i += 3) {
+    std::swap(flipped[i].u, flipped[i].v);
+  }
+  auto from_sorted = Graph::FromEdges(500, sorted);
+  auto from_flipped = Graph::FromEdges(500, flipped);
+  ASSERT_TRUE(from_sorted.ok());
+  ASSERT_TRUE(from_flipped.ok()) << from_flipped.status();
+  EXPECT_TRUE(ArraysOf(*from_sorted) == ArraysOf(*from_flipped));
+}
+
+TEST(GraphTest, EmptyAndSingleEdgeInputs) {
+  auto empty = Graph::FromEdges(4, {});
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->NumNodes(), 4u);
+  EXPECT_EQ(empty->NumEdges(), 0u);
+  auto single = Graph::FromEdges(4, {{3, 1}});
+  ASSERT_TRUE(single.ok());
+  ASSERT_EQ(single->NumEdges(), 1u);
+  EXPECT_EQ(single->edge(0), (Edge{1, 3}));
+  EXPECT_EQ(single->Degree(1), 1u);
+  EXPECT_EQ(single->Degree(3), 1u);
 }
 
 TEST(SubgraphTest, KeepsVertexSetDropsEdges) {
