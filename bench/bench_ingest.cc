@@ -1,9 +1,9 @@
-// Ingest-path benchmark suite (ISSUE 9).
+// Ingest-path benchmark suite.
 //
 // Measures every on-disk route into a served Graph — text edge list parse,
-// binary edge list, v2 snapshot, v3 snapshot copy load, v3 snapshot mmap
-// load, and the out-of-core text-to-v3 converter — and emits medians plus
-// peak RSS to BENCH_ingest.json (schema edgeshed-bench-ingest-v1, diffed by
+// snapshot copy load, snapshot mmap load, and the out-of-core text-to-
+// snapshot converter — and emits medians plus peak RSS to
+// BENCH_ingest.json (schema edgeshed-bench-ingest-v1, diffed by
 // tools/compare_bench.py like the hot-path suite).
 //
 // Unlike the hot-path suite, every sample runs in a forked child so peak
@@ -12,8 +12,8 @@
 // op primes the page cache, so every format reads warm files — the
 // comparison is parse/copy cost, not disk.
 //
-// Two in-process gates enforce the ISSUE-9 acceptance bars on every run:
-//   - mmap-loading the v3 snapshot must be at least 5x faster than text
+// Two in-process gates are checked on every run:
+//   - mmap-loading the snapshot must be at least 5x faster than text
 //     ingest of the same graph, at no more than 3/4 of its peak-RSS delta
 //     over an empty child;
 //   - the out-of-core converter's snapshot must be byte-identical to the
@@ -205,8 +205,6 @@ int Main(int argc, char** argv) {
 
   const std::string graph_name = smoke ? "ba_160k" : "ba_640k";
   const std::string text_path = TempPath(graph_name + ".txt");
-  const std::string edges_path = TempPath(graph_name + ".ebl");
-  const std::string v2_path = TempPath(graph_name + ".v2.esg");
   const std::string v3_path = TempPath(graph_name + ".v3.esg");
   const std::string converted_path = TempPath(graph_name + ".converted.esg");
 
@@ -214,7 +212,7 @@ int Main(int argc, char** argv) {
   // in-memory copies so forked children inherit a small baseline RSS.
   // The text reload (not the generator output) is the reference: its node
   // numbering and original-id remap are what every converted artifact must
-  // reproduce, so all five loads below deserialize the identical graph.
+  // reproduce, so all three loads below deserialize the identical graph.
   uint64_t nodes = 0;
   uint64_t edges = 0;
   {
@@ -227,15 +225,7 @@ int Main(int argc, char** argv) {
     EDGESHED_CHECK(ref.ok()) << ref.status().ToString();
     nodes = ref->graph.NumNodes();
     edges = ref->graph.NumEdges();
-    save = graph::SaveBinaryEdgeList(ref->graph, ref->original_ids,
-                                     edges_path);
-    EDGESHED_CHECK(save.ok()) << save.ToString();
-    graph::SnapshotOptions v2;
-    v2.version = 2;
-    save = graph::SaveBinaryGraph(ref->graph, v2_path, v2);
-    EDGESHED_CHECK(save.ok()) << save.ToString();
     graph::SnapshotOptions v3;
-    v3.version = 3;
     v3.original_ids = ref->original_ids;
     save = graph::SaveBinaryGraph(ref->graph, v3_path, v3);
     EDGESHED_CHECK(save.ok()) << save.ToString();
@@ -259,12 +249,6 @@ int Main(int argc, char** argv) {
   TimeOp(graph_name, nodes, edges, "ingest_text", repeats,
          [&] { check_load({text_path, graph::GraphFormat::kText}, {}); },
          &results);
-  TimeOp(graph_name, nodes, edges, "ingest_binary_edges", repeats,
-         [&] { check_load({edges_path, graph::GraphFormat::kBinaryEdges}, {}); },
-         &results);
-  TimeOp(graph_name, nodes, edges, "snapshot_v2_load", repeats,
-         [&] { check_load({v2_path, graph::GraphFormat::kSnapshot}, {}); },
-         &results);
   graph::IngestOptions copy_load;
   copy_load.mmap = false;
   TimeOp(graph_name, nodes, edges, "snapshot_v3_load", repeats,
@@ -280,7 +264,6 @@ int Main(int argc, char** argv) {
   // the run always exercises the spill/merge path.
   graph::ExternalBuildOptions external;
   external.memory_budget_bytes = (smoke ? 1ull : 4ull) << 20;
-  external.snapshot.version = 3;
   TimeOp(graph_name, nodes, edges, "external_convert", repeats,
          [&] {
            auto stats = graph::BuildSnapshotExternal(text_path, converted_path,
@@ -297,10 +280,10 @@ int Main(int argc, char** argv) {
       << "external converter output drifted from SaveBinaryGraph v3";
   std::printf("  converter output byte-identical to SaveBinaryGraph v3\n");
 
-  // --- Gate 2: the ISSUE-9 acceptance bar — mmap-loading the v3 snapshot
-  // beats text ingest by >=5x and stays materially below its peak-RSS
-  // delta. RSS is compared as deltas over the empty-child baseline so the
-  // shared fork cost cancels out. ---
+  // --- Gate 2: mmap-loading the v3 snapshot beats text ingest by >=5x
+  // and stays materially below its peak-RSS delta. RSS is compared as
+  // deltas over the empty-child baseline so the shared fork cost cancels
+  // out. ---
   auto find = [&](const std::string& op) -> const BenchResult& {
     for (const BenchResult& r : results) {
       if (r.op == op) return r;
@@ -324,7 +307,7 @@ int Main(int argc, char** argv) {
   WriteJson(out, rev, repeats, baseline_rss_kb, results);
 
   for (const std::string& path :
-       {text_path, edges_path, v2_path, v3_path, converted_path}) {
+       {text_path, v3_path, converted_path}) {
     std::remove(path.c_str());
   }
   return 0;

@@ -18,10 +18,10 @@
 
 #include "common/strings.h"
 #include "eval/flags.h"
+#include "obs/metrics.h"
 #include "service/dataset_registry.h"
 #include "service/graph_store.h"
 #include "service/job_scheduler.h"
-#include "service/metrics_registry.h"
 
 using namespace edgeshed;
 
@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   const int clients = static_cast<int>(flags.GetInt("clients", 4));
   const double scale = flags.GetDouble("scale", 0.3);
 
-  service::MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
 
   // A budget this small cannot hold both surrogates at once: serving the
   // batches below forces LRU evictions and transparent reloads.

@@ -4,7 +4,7 @@
 #include <numeric>
 
 #include "analytics/bfs.h"
-#include "common/parallel_for.h"
+#include "common/parallel.h"
 #include "common/random.h"
 
 namespace edgeshed::analytics {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/parallel_for.h"
+#include "common/parallel.h"
 
 namespace edgeshed::analytics {
 

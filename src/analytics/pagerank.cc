@@ -6,7 +6,7 @@
 #include <numeric>
 
 #include "common/check.h"
-#include "common/parallel_for.h"
+#include "common/parallel.h"
 
 namespace edgeshed::analytics {
 

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "analytics/bfs.h"
-#include "common/parallel_for.h"
+#include "common/parallel.h"
 
 namespace edgeshed::analytics {
 

@@ -43,7 +43,7 @@ StatusOr<std::vector<Shard>> BuildShards(const graph::Graph& parent,
 std::vector<graph::EdgeId> MapLocalEdgesToGlobal(
     const Shard& shard, const std::vector<graph::EdgeId>& local_edges);
 
-/// Maps a kept *subgraph* of `shard.graph` (as reloaded from a worker's v2
+/// Maps a kept *subgraph* of `shard.graph` (as reloaded from a worker's v3
 /// binary snapshot, which preserves node count but re-canonicalizes edges)
 /// back to parent EdgeIds. Fails with InvalidArgument if `kept` contains a
 /// node or edge that is not part of the shard — a corrupt or mismatched

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <mutex>
 
-#include "common/parallel_for.h"
+#include "common/parallel.h"
 #include "common/random.h"
 
 namespace edgeshed::embedding {

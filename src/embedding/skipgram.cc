@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/parallel_for.h"
+#include "common/parallel.h"
 #include "common/random.h"
 
 namespace edgeshed::embedding {

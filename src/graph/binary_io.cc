@@ -21,206 +21,6 @@ namespace edgeshed::graph {
 
 namespace {
 
-constexpr char kMagicV1[8] = {'E', 'D', 'G', 'S', 'H', 'E', 'D', '1'};
-constexpr char kMagicV2[8] = {'E', 'D', 'G', 'S', 'H', 'E', 'D', '2'};
-
-uint64_t GetU64(const char* in) {
-  uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<uint64_t>(static_cast<unsigned char>(in[i]))
-             << (8 * i);
-  }
-  return value;
-}
-
-uint32_t GetU32(const char* in) {
-  uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<uint32_t>(static_cast<unsigned char>(in[i]))
-             << (8 * i);
-  }
-  return value;
-}
-
-/// Serializer that folds every byte after the magic into a CRC32 so the v2
-/// footer can be emitted without a second pass over the edge section.
-class ChecksummingWriter {
- public:
-  explicit ChecksummingWriter(std::ofstream& out) : out_(out) {}
-
-  void PutU64(uint64_t value) {
-    char bytes[8];
-    for (int i = 0; i < 8; ++i) {
-      bytes[i] = static_cast<char>((value >> (8 * i)) & 0xff);
-    }
-    Write(bytes, 8);
-  }
-
-  void PutU32(uint32_t value) {
-    char bytes[4];
-    for (int i = 0; i < 4; ++i) {
-      bytes[i] = static_cast<char>((value >> (8 * i)) & 0xff);
-    }
-    Write(bytes, 4);
-  }
-
-  uint32_t crc() const { return Crc32Finalize(state_); }
-
- private:
-  void Write(const char* bytes, size_t n) {
-    out_.write(bytes, static_cast<std::streamsize>(n));
-    state_ = Crc32Update(state_, bytes, n);
-  }
-
-  std::ofstream& out_;
-  uint32_t state_ = kCrc32Init;
-};
-
-Status SaveSnapshotV2(const Graph& graph, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open for writing: " + path);
-  out.write(kMagicV2, sizeof(kMagicV2));
-  ChecksummingWriter writer(out);
-  writer.PutU64(graph.NumNodes());
-  writer.PutU64(graph.NumEdges());
-  for (const Edge& e : graph.edges()) {
-    writer.PutU32(e.u);
-    writer.PutU32(e.v);
-  }
-  // Footer: CRC32 of everything between the magic and here, so a bit flip
-  // anywhere in counts or edges fails the load instead of silently shipping
-  // a corrupted graph.
-  const uint32_t crc = writer.crc();
-  char footer[4];
-  for (int i = 0; i < 4; ++i) {
-    footer[i] = static_cast<char>((crc >> (8 * i)) & 0xff);
-  }
-  out.write(footer, 4);
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::OK();
-}
-
-Status SaveSnapshotV3(const Graph& graph, const std::string& path,
-                      const SnapshotOptions& options) {
-  if (!std::has_single_bit(options.page_align) || options.page_align < 8 ||
-      options.page_align > (uint64_t{1} << 30)) {
-    return Status::InvalidArgument(
-        "snapshot page_align must be a power of two in [8, 1 GiB]");
-  }
-  if (options.chunk_bytes < (uint64_t{1} << 12) ||
-      options.chunk_bytes > (uint64_t{1} << 30)) {
-    return Status::InvalidArgument(
-        "snapshot chunk_bytes must be in [4 KiB, 1 GiB]");
-  }
-  if (!options.original_ids.empty() &&
-      options.original_ids.size() != graph.NumNodes()) {
-    return Status::InvalidArgument(
-        "original_ids size disagrees with the node count");
-  }
-  // An identity remap carries no information; leaving it out keeps the file
-  // smaller and makes the snapshot byte-identical to one built by the
-  // out-of-core converter, which always drops identity tables.
-  bool identity_ids = true;
-  for (size_t i = 0; i < options.original_ids.size(); ++i) {
-    if (options.original_ids[i] != i) {
-      identity_ids = false;
-      break;
-    }
-  }
-  const std::span<const uint64_t> original_ids =
-      identity_ids ? std::span<const uint64_t>{} : options.original_ids;
-
-  SnapshotHeader header = PlanSnapshotLayout(
-      graph.NumNodes(), graph.NumEdges(), !original_ids.empty(),
-      options.page_align, options.chunk_bytes);
-
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open for writing: " + path);
-
-  // Placeholder header + padding; the real header (it needs the chunk CRCs
-  // of the data we are about to write) is patched in afterwards.
-  {
-    const std::string zeros(header.DataStart(), '\0');
-    out.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
-  }
-
-  // The empty graph's owned storage has no offsets array, but the section
-  // still carries the single leading 0 so loaded shape checks hold.
-  static constexpr uint64_t kZeroOffset = 0;
-  const auto offsets = graph.RawOffsets();
-  const auto adjacency = graph.RawAdjacency();
-  const auto incident = graph.RawIncident();
-  const auto edges = graph.edges();
-  const std::pair<const void*, uint64_t> payloads[kSnapshotSectionCount] = {
-      offsets.empty()
-          ? std::pair<const void*, uint64_t>{&kZeroOffset, sizeof(kZeroOffset)}
-          : std::pair<const void*, uint64_t>{offsets.data(),
-                                             offsets.size_bytes()},
-      {adjacency.data(), adjacency.size_bytes()},
-      {incident.data(), incident.size_bytes()},
-      {edges.data(), edges.size_bytes()},
-      {original_ids.data(), original_ids.size_bytes()},
-  };
-  uint64_t pos = header.DataStart();
-  for (int s = 0; s < kSnapshotSectionCount; ++s) {
-    const auto& section = header.sections[static_cast<size_t>(s)];
-    if (section.bytes == 0) continue;
-    if (section.offset > pos) {
-      const std::string pad(section.offset - pos, '\0');
-      out.write(pad.data(), static_cast<std::streamsize>(pad.size()));
-    }
-    out.write(static_cast<const char*>(payloads[s].first),
-              static_cast<std::streamsize>(payloads[s].second));
-    pos = section.offset + section.bytes;
-  }
-  out.close();
-  if (!out) return Status::IOError("write failed: " + path);
-
-  // Re-reads the freshly written (page-cached) data region to fill the
-  // chunk CRC table, then patches the real header over the placeholder.
-  return FinalizeSnapshotFile(path, std::move(header));
-}
-
-/// v1/v2 copy loader, parsing from the mapped bytes. The CSR is rebuilt by
-/// Graph::FromEdges, which re-validates bounds, self-loops, duplicates.
-StatusOr<LoadedGraph> LoadLegacySnapshot(const MappedFile& file,
-                                         bool checksummed,
-                                         const std::string& path) {
-  const char* data = file.data();
-  const uint64_t size = file.size();
-  if (size < 24 + (checksummed ? 4u : 0u)) {
-    return Status::InvalidArgument("truncated header: " + path);
-  }
-  const uint64_t num_nodes = GetU64(data + 8);
-  const uint64_t num_edges = GetU64(data + 16);
-  if (num_nodes > static_cast<uint64_t>(kInvalidNode)) {
-    return Status::InvalidArgument("node count exceeds NodeId range");
-  }
-  // Check the declared edge count against the bytes actually present before
-  // allocating: a corrupt count must fail as "truncated", not reserve
-  // attacker-sized memory and die on bad_alloc.
-  const uint64_t body_bytes = size - 24 - (checksummed ? 4 : 0);
-  if (num_edges > body_bytes / 8) {
-    return Status::InvalidArgument("truncated edge section: " + path);
-  }
-  if (checksummed) {
-    const uint32_t declared = GetU32(data + 24 + 8 * num_edges);
-    const uint32_t actual =
-        Crc32(std::string_view(data + 8, 16 + 8 * num_edges));
-    if (declared != actual) {
-      return Status::DataLoss(
-          "binary graph checksum mismatch (corrupt snapshot): " + path);
-    }
-  }
-  file.AdviseSequential();
-  std::vector<Edge> edges(num_edges);
-  std::memcpy(edges.data(), data + 24, 8 * num_edges);
-  EDGESHED_ASSIGN_OR_RETURN(
-      Graph graph,
-      Graph::FromEdges(static_cast<NodeId>(num_nodes), std::move(edges)));
-  return LoadedGraph{std::move(graph), {}};
-}
-
 /// The DataLoss status a chunk-CRC mismatch reports; shared by the in-core
 /// and streamed verifiers so tests and operators see one message.
 Status ChunkMismatch(const SnapshotHeader& header, uint64_t chunk,
@@ -476,21 +276,88 @@ StatusOr<LoadedGraph> LoadSnapshotV3(std::shared_ptr<const MappedFile> file,
 
 Status SaveBinaryGraph(const Graph& graph, const std::string& path,
                        const SnapshotOptions& options) {
-  switch (options.version) {
-    case 2:
-      return SaveSnapshotV2(graph, path);
-    case 3:
-      return SaveSnapshotV3(graph, path, options);
-    default:
-      return Status::InvalidArgument(
-          StrFormat("unsupported snapshot version %u", options.version));
+  if (options.version != 3) {
+    return Status::InvalidArgument(StrFormat(
+        "unsupported snapshot version %u (only 3 is written)",
+        options.version));
   }
-}
+  if (!std::has_single_bit(options.page_align) || options.page_align < 8 ||
+      options.page_align > (uint64_t{1} << 30)) {
+    return Status::InvalidArgument(
+        "snapshot page_align must be a power of two in [8, 1 GiB]");
+  }
+  if (options.chunk_bytes < (uint64_t{1} << 12) ||
+      options.chunk_bytes > (uint64_t{1} << 30)) {
+    return Status::InvalidArgument(
+        "snapshot chunk_bytes must be in [4 KiB, 1 GiB]");
+  }
+  if (!options.original_ids.empty() &&
+      options.original_ids.size() != graph.NumNodes()) {
+    return Status::InvalidArgument(
+        "original_ids size disagrees with the node count");
+  }
+  // An identity remap carries no information; leaving it out keeps the file
+  // smaller and makes the snapshot byte-identical to one built by the
+  // out-of-core converter, which always drops identity tables.
+  bool identity_ids = true;
+  for (size_t i = 0; i < options.original_ids.size(); ++i) {
+    if (options.original_ids[i] != i) {
+      identity_ids = false;
+      break;
+    }
+  }
+  const std::span<const uint64_t> original_ids =
+      identity_ids ? std::span<const uint64_t>{} : options.original_ids;
 
-Status SaveBinaryGraph(const Graph& graph, const std::string& path) {
-  SnapshotOptions options;
-  options.version = 2;
-  return SaveBinaryGraph(graph, path, options);
+  SnapshotHeader header = PlanSnapshotLayout(
+      graph.NumNodes(), graph.NumEdges(), !original_ids.empty(),
+      options.page_align, options.chunk_bytes);
+
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) return Status::IOError("cannot open for writing: " + path);
+
+  // Placeholder header + padding; the real header (it needs the chunk CRCs
+  // of the data we are about to write) is patched in afterwards.
+  {
+    const std::string zeros(header.DataStart(), '\0');
+    out.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
+  }
+
+  // The empty graph's owned storage has no offsets array, but the section
+  // still carries the single leading 0 so loaded shape checks hold.
+  static constexpr uint64_t kZeroOffset = 0;
+  const auto offsets = graph.RawOffsets();
+  const auto adjacency = graph.RawAdjacency();
+  const auto incident = graph.RawIncident();
+  const auto edges = graph.edges();
+  const std::pair<const void*, uint64_t> payloads[kSnapshotSectionCount] = {
+      offsets.empty()
+          ? std::pair<const void*, uint64_t>{&kZeroOffset, sizeof(kZeroOffset)}
+          : std::pair<const void*, uint64_t>{offsets.data(),
+                                             offsets.size_bytes()},
+      {adjacency.data(), adjacency.size_bytes()},
+      {incident.data(), incident.size_bytes()},
+      {edges.data(), edges.size_bytes()},
+      {original_ids.data(), original_ids.size_bytes()},
+  };
+  uint64_t pos = header.DataStart();
+  for (int s = 0; s < kSnapshotSectionCount; ++s) {
+    const auto& section = header.sections[static_cast<size_t>(s)];
+    if (section.bytes == 0) continue;
+    if (section.offset > pos) {
+      const std::string pad(section.offset - pos, '\0');
+      out.write(pad.data(), static_cast<std::streamsize>(pad.size()));
+    }
+    out.write(static_cast<const char*>(payloads[s].first),
+              static_cast<std::streamsize>(payloads[s].second));
+    pos = section.offset + section.bytes;
+  }
+  out.close();
+  if (!out) return Status::IOError("write failed: " + path);
+
+  // Re-reads the freshly written (page-cached) data region to fill the
+  // chunk CRC table, then patches the real header over the placeholder.
+  return FinalizeSnapshotFile(path, std::move(header));
 }
 
 StatusOr<LoadedGraph> LoadSnapshot(const std::string& path,
@@ -503,18 +370,9 @@ StatusOr<LoadedGraph> LoadSnapshot(const std::string& path,
   if (std::memcmp(file->data(), kSnapshotMagicV3, 8) == 0) {
     return LoadSnapshotV3(std::move(file), options, path);
   }
-  if (std::memcmp(file->data(), kMagicV2, 8) == 0) {
-    return LoadLegacySnapshot(*file, /*checksummed=*/true, path);
-  }
-  if (std::memcmp(file->data(), kMagicV1, 8) == 0) {
-    return LoadLegacySnapshot(*file, /*checksummed=*/false, path);
-  }
+  EDGESHED_RETURN_IF_ERROR(
+      RejectRetiredFormat(std::string_view(file->data(), 8), path));
   return Status::InvalidArgument("not an edgeshed binary graph: " + path);
-}
-
-StatusOr<Graph> LoadBinaryGraph(const std::string& path) {
-  EDGESHED_ASSIGN_OR_RETURN(LoadedGraph loaded, LoadSnapshot(path));
-  return std::move(loaded.graph);
 }
 
 }  // namespace edgeshed::graph

@@ -12,63 +12,48 @@
 namespace edgeshed::graph {
 
 /// Binary CSR snapshots for fast reload (the "reduce once, reuse many
-/// times" workflow). Three versions on disk, one loader:
-///
-///   v1 "EDGSHED1": u64 node count, u64 edge count, m x (u32 u, u32 v)
-///     canonical sorted edges. No integrity check; legacy, load-only.
-///   v2 "EDGSHED2": v1 plus a trailing u32 CRC-32 footer over everything
-///     after the magic. Compact, integrity-checked, but the loader must
-///     rebuild the CSR (sort, transpose) on every load.
-///   v3 "EDGSHED3": the full CSR serialized with page-aligned sections and
-///     per-chunk CRCs (graph/snapshot_format.h), so LoadSnapshot can mmap
-///     the file and adopt the arrays zero-copy. Optionally embeds the
-///     original-id table so text-format provenance survives conversion.
+/// times" workflow). One format on disk: "EDGSHED3", the full CSR
+/// serialized with page-aligned sections and per-chunk CRCs
+/// (graph/snapshot_format.h), so LoadSnapshot can mmap the file and adopt
+/// the arrays zero-copy. It optionally embeds the original-id table so
+/// text-format provenance survives conversion. Text edge lists
+/// (graph/edge_list_io.h) are the interchange format.
 ///
 /// DESIGN.md §14 has the format table and lifetime rules.
 
 /// How SaveBinaryGraph lays out a snapshot.
 struct SnapshotOptions {
-  /// 2 writes the compact checksummed edge-list snapshot; 3 writes the
-  /// mmap-ready CSR snapshot. Anything else is InvalidArgument.
+  /// Snapshot format version. 3 is the only one written; anything else is
+  /// InvalidArgument.
   uint32_t version = 3;
-  /// v3 section alignment: power of two in [8, 1 GiB]. 4096 matches the
+  /// Section alignment: power of two in [8, 1 GiB]. 4096 matches the
   /// common page size; mapped spans are aligned for their element types at
   /// any legal value.
   uint64_t page_align = 4096;
-  /// v3 integrity granularity: data-region bytes per CRC chunk, in
+  /// Integrity granularity: data-region bytes per CRC chunk, in
   /// [4 KiB, 1 GiB]. Smaller chunks localize corruption reports and
   /// parallelize verification; 1 MiB is a good default.
   uint64_t chunk_bytes = uint64_t{1} << 20;
-  /// Optional original-id table (size NumNodes()) embedded in v3 snapshots
+  /// Optional original-id table (size NumNodes()) embedded in the snapshot
   /// so the loader can return LoadedGraph::original_ids. An identity table
   /// is dropped (identity is the documented meaning of "absent"), which
   /// also keeps SaveBinaryGraph byte-identical to the out-of-core
-  /// converter's output. Ignored by v2.
+  /// converter's output.
   std::span<const uint64_t> original_ids{};
 };
 
-/// Writes `graph` at `path` in the layout `options` selects. The explicit
-/// overload is the one integration points use — the dist fleet and job
-/// scheduler pass SnapshotOptions so their output format is visible at the
-/// call site.
+/// Writes `graph` at `path` as a v3 snapshot laid out as `options` selects.
 Status SaveBinaryGraph(const Graph& graph, const std::string& path,
-                       const SnapshotOptions& options);
+                       const SnapshotOptions& options = {});
 
-/// Back-compat shim: writes version 2, the format every pre-v3 consumer
-/// understands. Prefer the SnapshotOptions overload in new code.
-Status SaveBinaryGraph(const Graph& graph, const std::string& path);
-
-/// Loads a snapshot of any version. v3 files are memory-mapped and adopted
-/// zero-copy when `options.mmap` is set (the returned Graph keeps the
-/// mapping alive; see Graph::IsMapped), copied onto the heap otherwise.
-/// v1/v2 always copy. Corruption taxonomy: wrong magic, truncation, or
-/// structurally nonsense fields are InvalidArgument; checksum mismatches
-/// (v2 footer, v3 header or chunk CRCs) are DataLoss.
+/// Loads a v3 snapshot, memory-mapped and adopted zero-copy when
+/// `options.mmap` is set (the returned Graph keeps the mapping alive; see
+/// Graph::IsMapped), copied onto the heap otherwise. Corruption taxonomy:
+/// wrong magic, truncation, or structurally nonsense fields are
+/// InvalidArgument; header or chunk CRC mismatches are DataLoss. A retired
+/// pre-v3 file is InvalidArgument naming its magic (RejectRetiredFormat).
 StatusOr<LoadedGraph> LoadSnapshot(const std::string& path,
                                    const IngestOptions& options = {});
-
-/// Back-compat shim around LoadSnapshot: drops the original-id table.
-StatusOr<Graph> LoadBinaryGraph(const std::string& path);
 
 }  // namespace edgeshed::graph
 

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "common/crc32.h"
 #include "common/parallel.h"
 #include "common/strings.h"
 #include "graph/edge_list_parse.h"
@@ -20,26 +18,6 @@ namespace {
 
 using internal::ChunkParse;
 using internal::ParseChunk;
-
-constexpr char kBinaryEdgeMagic[8] = {'E', 'D', 'G', 'S', 'H', 'E', 'D', 'L'};
-
-uint64_t GetU64(const char* in) {
-  uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<uint64_t>(static_cast<unsigned char>(in[i]))
-             << (8 * i);
-  }
-  return value;
-}
-
-uint32_t GetU32(const char* in) {
-  uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<uint32_t>(static_cast<unsigned char>(in[i]))
-             << (8 * i);
-  }
-  return value;
-}
 
 /// Stat-then-read of a whole file into a string (binary mode).
 StatusOr<std::string> ReadWholeFile(const std::string& path) {
@@ -57,33 +35,6 @@ StatusOr<std::string> ReadWholeFile(const std::string& path) {
   return data;
 }
 
-/// Streaming writer folding every byte after the magic into the CRC footer,
-/// the same integrity scheme as the v2 snapshot.
-class CrcFileWriter {
- public:
-  explicit CrcFileWriter(std::ofstream& out) : out_(out) {}
-
-  void Write(const void* bytes, size_t n) {
-    out_.write(static_cast<const char*>(bytes),
-               static_cast<std::streamsize>(n));
-    state_ = Crc32Update(state_, bytes, n);
-  }
-
-  void PutU64(uint64_t value) {
-    char bytes[8];
-    for (int i = 0; i < 8; ++i) {
-      bytes[i] = static_cast<char>((value >> (8 * i)) & 0xff);
-    }
-    Write(bytes, 8);
-  }
-
-  uint32_t crc() const { return Crc32Finalize(state_); }
-
- private:
-  std::ofstream& out_;
-  uint32_t state_ = kCrc32Init;
-};
-
 }  // namespace
 
 StatusOr<LoadedGraph> LoadEdgeList(const std::string& path,
@@ -94,6 +45,7 @@ StatusOr<LoadedGraph> LoadEdgeList(const std::string& path,
   // confusing "line 1" parse error; catch the magic up front and say what
   // the file actually is.
   if (data.size() >= 8) {
+    EDGESHED_RETURN_IF_ERROR(RejectRetiredFormat(data, path));
     const GraphFormat sniffed = SniffGraphFormat(data);
     if (sniffed != GraphFormat::kText) {
       return Status::InvalidArgument(StrFormat(
@@ -191,89 +143,6 @@ Status SaveEdgeList(const Graph& graph, const std::string& path) {
     return Status::IOError("write failed: " + path);
   }
   return Status::OK();
-}
-
-Status SaveBinaryEdgeList(const Graph& graph,
-                          std::span<const uint64_t> original_ids,
-                          const std::string& path) {
-  if (!original_ids.empty() && original_ids.size() != graph.NumNodes()) {
-    return Status::InvalidArgument(
-        "original_ids size disagrees with the node count");
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open for writing: " + path);
-  out.write(kBinaryEdgeMagic, sizeof(kBinaryEdgeMagic));
-  CrcFileWriter writer(out);
-  writer.PutU64(graph.NumNodes());
-  writer.PutU64(graph.NumEdges());
-  if (!original_ids.empty()) {
-    writer.Write(original_ids.data(), original_ids.size_bytes());
-  } else {
-    // No remap recorded: the dense numbering is the original numbering.
-    uint64_t identity[4096];
-    for (uint64_t base = 0; base < graph.NumNodes(); base += 4096) {
-      const uint64_t n = std::min<uint64_t>(4096, graph.NumNodes() - base);
-      for (uint64_t i = 0; i < n; ++i) identity[i] = base + i;
-      writer.Write(identity, n * sizeof(uint64_t));
-    }
-  }
-  const auto edges = graph.edges();
-  writer.Write(edges.data(), edges.size_bytes());
-  const uint32_t crc = writer.crc();
-  char footer[4];
-  for (int i = 0; i < 4; ++i) {
-    footer[i] = static_cast<char>((crc >> (8 * i)) & 0xff);
-  }
-  out.write(footer, 4);
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::OK();
-}
-
-StatusOr<LoadedGraph> LoadBinaryEdgeList(const std::string& path,
-                                         const IngestOptions& options) {
-  EDGESHED_ASSIGN_OR_RETURN(std::string data, ReadWholeFile(path));
-  if (data.size() < 8 ||
-      std::memcmp(data.data(), kBinaryEdgeMagic, 8) != 0) {
-    return Status::InvalidArgument("not an edgeshed binary edge list: " +
-                                   path);
-  }
-  if (data.size() < 28) {
-    return Status::InvalidArgument("truncated binary edge list: " + path);
-  }
-  const uint64_t num_nodes = GetU64(data.data() + 8);
-  const uint64_t num_edges = GetU64(data.data() + 16);
-  if (num_nodes > static_cast<uint64_t>(kInvalidNode)) {
-    return Status::InvalidArgument("node count exceeds NodeId range: " +
-                                   path);
-  }
-  // Bound both counts by the file size before any arithmetic on them, so a
-  // corrupt count fails as truncation instead of overflowing or allocating.
-  if (num_nodes > data.size() / 8 || num_edges > data.size() / 8 ||
-      24 + 8 * num_nodes + 8 * num_edges + 4 != data.size()) {
-    return Status::InvalidArgument("truncated binary edge list: " + path);
-  }
-  if (CancellationRequested(options.cancel)) {
-    return options.cancel->ToStatus();
-  }
-  const uint32_t declared = GetU32(data.data() + data.size() - 4);
-  const uint32_t actual =
-      Crc32(std::string_view(data.data() + 8, data.size() - 12));
-  if (declared != actual) {
-    return Status::DataLoss(
-        "binary edge list checksum mismatch (corrupt file): " + path);
-  }
-  if (CancellationRequested(options.cancel)) {
-    return options.cancel->ToStatus();
-  }
-
-  std::vector<uint64_t> original_ids(num_nodes);
-  std::memcpy(original_ids.data(), data.data() + 24, 8 * num_nodes);
-  std::vector<Edge> edges(num_edges);
-  std::memcpy(edges.data(), data.data() + 24 + 8 * num_nodes, 8 * num_edges);
-  EDGESHED_ASSIGN_OR_RETURN(
-      Graph graph,
-      Graph::FromEdges(static_cast<NodeId>(num_nodes), std::move(edges)));
-  return LoadedGraph{std::move(graph), std::move(original_ids)};
 }
 
 }  // namespace edgeshed::graph

@@ -1,7 +1,6 @@
 #ifndef EDGESHED_GRAPH_EDGE_LIST_IO_H_
 #define EDGESHED_GRAPH_EDGE_LIST_IO_H_
 
-#include <span>
 #include <string>
 
 #include "common/statusor.h"
@@ -21,8 +20,8 @@ namespace edgeshed::graph {
 /// remap included) is bit-identical for every thread count. Malformed lines
 /// fail with InvalidArgument reporting "path:line" and a truncated copy of
 /// the offending line. A file that is actually a binary edgeshed format
-/// (snapshot or binary edge list) is rejected up front with InvalidArgument
-/// naming the detected magic — not a line-1 parse error.
+/// (a snapshot, or a retired binary format) is rejected up front with
+/// InvalidArgument naming the detected magic — not a line-1 parse error.
 StatusOr<LoadedGraph> LoadEdgeList(const std::string& path,
                                    const IngestOptions& options);
 
@@ -31,30 +30,6 @@ StatusOr<LoadedGraph> LoadEdgeList(const std::string& path);
 
 /// Writes `graph` as "u v" lines (dense ids), with a small header comment.
 Status SaveEdgeList(const Graph& graph, const std::string& path);
-
-/// Binary edge list "EDGSHEDL" (DESIGN.md §14): the text format's exact
-/// information content — edge sequence and the original-id remap — without
-/// the parse cost. Layout, little-endian:
-///   bytes 0-7   magic "EDGSHEDL"
-///   bytes 8-23  u64 node count, u64 edge count
-///   then node count x u64 original ids (original_ids[i] = input id of
-///   dense node i; identity when the writer had no remap)
-///   then edge count x (u32 u, u32 v) dense canonical edges
-///   then u32 CRC-32 of every byte between the magic and the footer.
-/// Converting a text edge list to this format and reloading round-trips
-/// LoadedGraph bit-identically.
-
-/// Writes `graph` + remap at `path`. `original_ids` must be empty (identity
-/// is recorded) or exactly NumNodes() entries.
-Status SaveBinaryEdgeList(const Graph& graph,
-                          std::span<const uint64_t> original_ids,
-                          const std::string& path);
-
-/// Loads an "EDGSHEDL" file: stat-then-read in one pass, CRC-verified
-/// (DataLoss on mismatch, InvalidArgument on truncation or foreign magic),
-/// isolated trailing vertices preserved via the recorded node count.
-StatusOr<LoadedGraph> LoadBinaryEdgeList(const std::string& path,
-                                         const IngestOptions& options = {});
 
 }  // namespace edgeshed::graph
 

@@ -16,23 +16,22 @@ struct LoadedGraph {
   Graph graph;
   /// original_ids[i] is the id the input used for dense node i; node ids in
   /// SNAP files are arbitrary and sparse, so loaders remap them. Formats
-  /// that don't record a remap (v1/v2 snapshots, v3 snapshots written
-  /// without an id table) leave this empty, meaning identity.
+  /// that don't record a remap (snapshots written without an id table)
+  /// leave this empty, meaning identity.
   std::vector<uint64_t> original_ids;
 };
 
 /// On-disk graph representations the unified loader understands.
 /// DESIGN.md §14 has the format reference table.
 enum class GraphFormat {
-  kAuto,         // sniff from the leading bytes of the file
-  kText,         // SNAP-style whitespace edge list ("u v" lines, # comments)
-  kBinaryEdges,  // "EDGSHEDL" binary edge list (graph/edge_list_io.h)
-  kSnapshot,     // "EDGSHED1/2/3" CSR snapshot (graph/binary_io.h)
+  kAuto,      // sniff from the leading bytes of the file
+  kText,      // SNAP-style whitespace edge list ("u v" lines, # comments)
+  kSnapshot,  // "EDGSHED3" CSR snapshot (graph/binary_io.h)
 };
 
 /// Where to load a graph from. `format = kAuto` sniffs the file's magic:
-/// a known snapshot or binary-edge magic selects that format, anything else
-/// is treated as text. Explicit formats skip sniffing and fail with
+/// an edgeshed binary magic selects kSnapshot, anything else is treated as
+/// text. Explicit formats skip sniffing and fail with
 /// InvalidArgument when the bytes disagree (a v3 snapshot handed to the
 /// text parser reports the detected magic, not a line-1 parse error).
 struct GraphSource {
@@ -65,22 +64,30 @@ struct IngestOptions {
   const CancellationToken* cancel = nullptr;
 };
 
-/// Classifies leading file bytes (8+ for a definite answer): snapshot and
-/// binary-edge magics map to their formats, everything else is text.
+/// Classifies leading file bytes (8+ for a definite answer): the snapshot
+/// magic and the retired binary magics ("EDGSHED1", "EDGSHED2",
+/// "EDGSHEDL") map to kSnapshot, so a retired file is refused by the
+/// snapshot loader instead of parsed as text. Everything else is text.
 GraphFormat SniffGraphFormat(std::string_view leading_bytes);
 
-/// Sniffs the on-disk format from the file's leading bytes: snapshot and
-/// binary-edge magics map to their formats, everything else (including an
-/// empty file) is text. IOError when the file cannot be opened.
+/// InvalidArgument naming the magic when `leading_bytes` begin with a
+/// retired edgeshed binary format (v1/v2 snapshots, the binary edge list);
+/// OK otherwise. Every loader refuses such files with this one message.
+Status RejectRetiredFormat(std::string_view leading_bytes,
+                           const std::string& path);
+
+/// Sniffs the on-disk format from the file's leading bytes (see
+/// SniffGraphFormat); an empty file is text. IOError when the file cannot
+/// be opened.
 StatusOr<GraphFormat> DetectGraphFormat(const std::string& path);
 
 /// Unified entry point for every on-disk graph representation: text edge
-/// lists, binary edge lists, and CSR snapshots (copy or mmap). This is the
+/// lists and CSR snapshots (copy or mmap). This is the
 /// API the CLI, GraphStore, and the dist fleet all load through.
 StatusOr<LoadedGraph> LoadGraph(const GraphSource& source,
                                 const IngestOptions& options = {});
 
-/// Canonical lowercase name ("auto", "text", "binary_edges", "snapshot").
+/// Canonical lowercase name ("auto", "text", "snapshot").
 const char* GraphFormatName(GraphFormat format);
 
 /// Parses a format name as accepted by the CLI --format flag; the inverse

@@ -129,13 +129,11 @@ DecodeResult DecodeFrame(std::string_view buffer) {
     result.error = Status::InvalidArgument("bad frame magic");
     return result;
   }
-  if (buffer.size() > 4 &&
-      (bytes[4] < kWireMinVersion || bytes[4] > kWireVersion)) {
+  if (buffer.size() > 4 && bytes[4] != kWireVersion) {
     result.event = DecodeEvent::kError;
     result.error = Status::InvalidArgument(
-        StrFormat("unsupported wire version %u (want %u..%u)",
+        StrFormat("unsupported wire version %u (want %u)",
                   static_cast<unsigned>(bytes[4]),
-                  static_cast<unsigned>(kWireMinVersion),
                   static_cast<unsigned>(kWireVersion)));
     return result;
   }
@@ -272,8 +270,6 @@ std::string EncodeShedRequest(const ShedRequest& request) {
   w.PutU64(request.deadline_ms);
   w.PutU8(request.wait ? 1 : 0);
   w.PutString(request.output);
-  // v2 tail. Always written by this encoder; v1 peers simply stop reading
-  // after `output`, and this decoder accepts v1 bodies that end there.
   w.PutString(request.tenant);
   w.PutU8(request.priority);
   return w.Take();
@@ -288,13 +284,8 @@ Status DecodeShedRequest(std::string_view payload, ShedRequest* out) {
   out->deadline_ms = r.GetU64();
   out->wait = r.GetU8() != 0;
   out->output = r.GetString();
-  if (r.ok() && r.remaining() > 0) {  // v2 tail
-    out->tenant = r.GetString();
-    out->priority = r.GetU8();
-  } else {
-    out->tenant.clear();
-    out->priority = 0;
-  }
+  out->tenant = r.GetString();
+  out->priority = r.GetU8();
   return r.Finish("ShedRequest");
 }
 
@@ -406,9 +397,6 @@ void PutResultSummary(WireWriter* w, const ResultSummary& summary) {
     w->PutString(name);
     w->PutDouble(value);
   }
-  // v2 tail: the applied degradation record. Safe as an optional tail even
-  // embedded in ShedResponse, because the summary is always that message's
-  // last field.
   w->PutString(summary.applied_method);
   w->PutDouble(summary.applied_p);
   w->PutU8(summary.degrade_kind);
@@ -431,15 +419,9 @@ void GetResultSummary(WireReader* r, ResultSummary* out) {
     const double value = r->GetDouble();
     out->stats.emplace_back(std::move(name), value);
   }
-  if (r->ok() && r->remaining() > 0) {  // v2 tail
-    out->applied_method = r->GetString();
-    out->applied_p = r->GetDouble();
-    out->degrade_kind = r->GetU8();
-  } else {
-    out->applied_method.clear();
-    out->applied_p = 0.0;
-    out->degrade_kind = 0;
-  }
+  out->applied_method = r->GetString();
+  out->applied_p = r->GetDouble();
+  out->degrade_kind = r->GetU8();
 }
 
 }  // namespace
@@ -480,7 +462,6 @@ std::string EncodeGetStatusResponseBody(const GetStatusResponse& response) {
   w.PutU8(response.deduplicated ? 1 : 0);
   w.PutDouble(response.queue_seconds);
   w.PutDouble(response.run_seconds);
-  // v2 tail, same shape as ResultSummary's.
   w.PutString(response.applied_method);
   w.PutDouble(response.applied_p);
   w.PutU8(response.degrade_kind);
@@ -496,15 +477,9 @@ Status DecodeGetStatusResponseBody(std::string_view body,
   out->deduplicated = r.GetU8() != 0;
   out->queue_seconds = r.GetDouble();
   out->run_seconds = r.GetDouble();
-  if (r.ok() && r.remaining() > 0) {  // v2 tail
-    out->applied_method = r.GetString();
-    out->applied_p = r.GetDouble();
-    out->degrade_kind = r.GetU8();
-  } else {
-    out->applied_method.clear();
-    out->applied_p = 0.0;
-    out->degrade_kind = 0;
-  }
+  out->applied_method = r.GetString();
+  out->applied_p = r.GetDouble();
+  out->degrade_kind = r.GetU8();
   return r.Finish("GetStatusResponse");
 }
 

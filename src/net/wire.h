@@ -38,17 +38,9 @@ namespace edgeshed::net {
 /// reply to frames too broken to attribute to a request type.
 
 inline constexpr char kWireMagic[4] = {'E', 'S', 'R', 'P'};
-/// Current protocol version. v2 appends optional QoS tails (tenant/priority
-/// on ShedRequest; applied degradation tier on ResultSummary and
-/// GetStatusResponse). Tails are length-driven — a decoder reads them only
-/// when bytes remain after the v1 fields — so v1 peers interoperate:
-/// DecodeFrame accepts any version in [kWireMinVersion, kWireVersion].
-/// v3 adds the ApplyMutations message pair (dynamic graphs, DESIGN.md §15);
-/// no existing payload changed shape, so v1/v2 peers still interoperate on
-/// every other message.
+/// The one protocol version this build speaks; DecodeFrame rejects every
+/// other. Every field of every message is required.
 inline constexpr uint8_t kWireVersion = 3;
-/// Oldest protocol version this build still decodes.
-inline constexpr uint8_t kWireMinVersion = 1;
 inline constexpr size_t kFrameHeaderBytes = 16;
 /// Hard cap on one frame's payload; DecodeFrame rejects larger declared
 /// lengths before buffering anything.
@@ -192,16 +184,16 @@ struct ShedRequest {
   uint64_t deadline_ms = 0;
   bool wait = true;
   /// Optional output name: when non-empty, the worker writes the kept
-  /// subgraph as a v2 binary snapshot named `<output>.esg` in its configured
+  /// subgraph as a v3 binary snapshot named `<output>.esg` in its configured
   /// output directory (RpcServerOptions::output_dir) once the job finishes.
   /// A bare name, not a path — servers reject separators and dot-prefixes,
   /// and servers without an output directory reject the request outright.
   /// This is how the shed-fleet coordinator gets per-shard kept subgraphs
   /// back through the shared filesystem (DESIGN.md §11).
   std::string output;
-  /// v2 optional tail. Tenant name for fair-share scheduling ("" = the
-  /// default tenant, which preserves the single-FIFO semantics) and the
-  /// priority lane flag (nonzero = dispatch ahead of normal-lane work).
+  /// Tenant name for fair-share scheduling ("" = the default tenant, which
+  /// preserves the single-FIFO semantics) and the priority lane flag
+  /// (nonzero = dispatch ahead of normal-lane work).
   std::string tenant;
   uint8_t priority = 0;
 };
@@ -229,8 +221,8 @@ struct ResultSummary {
   double reduction_seconds = 0.0;
   bool deduplicated = false;
   std::vector<std::pair<std::string, double>> stats;
-  /// v2 optional tail: the method/p actually answered with and why they
-  /// differ from the request (kNone when served exactly as asked).
+  /// The method/p actually answered with and why they differ from the
+  /// request (kNone when served exactly as asked).
   std::string applied_method;
   double applied_p = 0.0;
   uint8_t degrade_kind = 0;  // DegradeKind numeric value
@@ -253,8 +245,8 @@ struct GetStatusResponse {
   bool deduplicated = false;
   double queue_seconds = 0.0;
   double run_seconds = 0.0;
-  /// v2 optional tail, mirroring ResultSummary's degradation record so
-  /// wait=false submitters still learn the applied tier.
+  /// Mirrors ResultSummary's degradation record so wait=false submitters
+  /// still learn the applied tier.
   std::string applied_method;
   double applied_p = 0.0;
   uint8_t degrade_kind = 0;  // DegradeKind numeric value
@@ -268,7 +260,7 @@ struct PingMessage {
   uint64_t token = 0;
 };
 
-/// v3: apply one mutation batch to a dataset's dynamic graph (DESIGN.md
+/// Apply one mutation batch to a dataset's dynamic graph (DESIGN.md
 /// §15). Edges travel as (u, v) node-id pairs; the server canonicalizes and
 /// validates (self-loops, duplicates, non-live deletes, already-live
 /// inserts all reject the whole batch, naming the offending pair).

@@ -29,7 +29,7 @@ Status RegisterEdgeListDataset(GraphStore& store, const std::string& name,
                                const std::string& path) {
   return store.Register(name, [path]() -> StatusOr<graph::Graph> {
     // Format auto-detected, so --edge_list entries can point at text edge
-    // lists, binary edge lists, or snapshots (v3 served zero-copy).
+    // lists or snapshots (served zero-copy).
     auto loaded = graph::LoadGraph(path);
     if (!loaded.ok()) return loaded.status();
     return std::move(loaded)->graph;

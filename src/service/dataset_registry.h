@@ -17,8 +17,8 @@ Status RegisterSurrogateDatasets(GraphStore& store,
                                  const graph::DatasetOptions& options = {});
 
 /// Registers `name` as a lazily-loaded graph file of any supported format
-/// (text edge list, binary edge list, or snapshot — auto-detected; v3
-/// snapshots are served zero-copy from a file mapping). The file is read
+/// (text edge list or snapshot — auto-detected; snapshots are served
+/// zero-copy from a file mapping). The file is read
 /// (and validated) on first Get; a missing file surfaces as that Get's
 /// error, not here.
 Status RegisterEdgeListDataset(GraphStore& store, const std::string& name,

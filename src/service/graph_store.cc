@@ -7,7 +7,7 @@
 
 namespace edgeshed::service {
 
-GraphStore::GraphStore(GraphStoreOptions options, MetricsRegistry* metrics,
+GraphStore::GraphStore(GraphStoreOptions options, obs::MetricsRegistry* metrics,
                        obs::Tracer* tracer)
     : options_(options), tracer_(tracer) {
   if (metrics != nullptr) {

@@ -16,8 +16,8 @@
 #include "dyn/versioned_graph.h"
 #include "graph/graph.h"
 #include "graph/mutation_io.h"
+#include "obs/metrics.h"
 #include "obs/tracer.h"
-#include "service/metrics_registry.h"
 
 namespace edgeshed::service {
 
@@ -70,7 +70,7 @@ class GraphStore {
   using Options = GraphStoreOptions;
 
   explicit GraphStore(GraphStoreOptions options = {},
-                      MetricsRegistry* metrics = nullptr,
+                      obs::MetricsRegistry* metrics = nullptr,
                       obs::Tracer* tracer = nullptr);
 
   GraphStore(const GraphStore&) = delete;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/parallel_for.h"
+#include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "core/shedder_factory.h"
@@ -43,7 +43,7 @@ std::string_view JobStateToString(JobState state) {
   return "unknown";
 }
 
-JobScheduler::JobScheduler(GraphStore* store, MetricsRegistry* metrics,
+JobScheduler::JobScheduler(GraphStore* store, obs::MetricsRegistry* metrics,
                            JobSchedulerOptions options, obs::Tracer* tracer)
     : store_(store), metrics_(metrics), tracer_(tracer), options_(options) {
   if (metrics_ != nullptr) {

@@ -19,9 +19,9 @@
 #include "common/statusor.h"
 #include "core/shedding.h"
 #include "dyn/incremental_shed.h"
+#include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "service/graph_store.h"
-#include "service/metrics_registry.h"
 #include "service/rank_cache.h"
 
 namespace edgeshed::service {
@@ -126,7 +126,7 @@ struct JobSpec {
   /// and the job finishes kCancelled with DeadlineExceeded.
   std::chrono::milliseconds deadline{0};
   /// When non-empty, the kept subgraph G' = (V, E') is written to this path
-  /// as a v2 binary snapshot after a successful shed (a write failure fails
+  /// as a v3 binary snapshot after a successful shed (a write failure fails
   /// the job with the writer's status). Part of the dedup key: two specs
   /// differing only in output_path are distinct jobs, so a cached result
   /// never skips a snapshot the caller asked for.
@@ -180,7 +180,7 @@ struct JobStatus {
 /// Fixed-pool asynchronous executor for shedding jobs.
 ///
 /// Architecture (DESIGN.md "Service layer" + §13):
-///  * `Options::workers` threads (default common/parallel_for.h's
+///  * `Options::workers` threads (default common/parallel.h's
 ///    DefaultThreadCount) pull JobIds from per-tenant weighted fair queues
 ///    (deficit round robin across tenants; a priority lane drained before
 ///    any normal-lane work; per-tenant running quotas). With no tenant
@@ -221,7 +221,7 @@ class JobScheduler {
   using Options = JobSchedulerOptions;
 
   /// `store` must outlive the scheduler; `metrics` and `tracer` may be null.
-  JobScheduler(GraphStore* store, MetricsRegistry* metrics,
+  JobScheduler(GraphStore* store, obs::MetricsRegistry* metrics,
                JobSchedulerOptions options = {},
                obs::Tracer* tracer = nullptr);
   ~JobScheduler();
@@ -450,7 +450,7 @@ class JobScheduler {
   };
 
   GraphStore* const store_;
-  MetricsRegistry* const metrics_;  // may be null
+  obs::MetricsRegistry* const metrics_;  // may be null
   obs::Tracer* const tracer_;      // may be null
   Instruments instruments_;
   const JobSchedulerOptions options_;

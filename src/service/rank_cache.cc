@@ -7,7 +7,7 @@
 
 namespace edgeshed::service {
 
-RankCache::RankCache(RankCacheOptions options, MetricsRegistry* metrics,
+RankCache::RankCache(RankCacheOptions options, obs::MetricsRegistry* metrics,
                      obs::Tracer* tracer)
     : options_(options), tracer_(tracer) {
   if (metrics != nullptr) {

@@ -14,8 +14,8 @@
 #include "common/statusor.h"
 #include "core/shedding.h"
 #include "graph/graph.h"
+#include "obs/metrics.h"
 #include "obs/tracer.h"
-#include "service/metrics_registry.h"
 
 namespace edgeshed::service {
 
@@ -67,7 +67,7 @@ class RankCache {
   using Options = RankCacheOptions;
 
   explicit RankCache(RankCacheOptions options = {},
-                     MetricsRegistry* metrics = nullptr,
+                     obs::MetricsRegistry* metrics = nullptr,
                      obs::Tracer* tracer = nullptr);
 
   RankCache(const RankCache&) = delete;

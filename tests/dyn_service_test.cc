@@ -18,9 +18,9 @@
 #include "dyn/versioned_graph.h"
 #include "graph/binary_io.h"
 #include "graph/mutation_io.h"
+#include "obs/metrics.h"
 #include "service/graph_store.h"
 #include "service/job_scheduler.h"
-#include "service/metrics_registry.h"
 #include "testing/test_graphs.h"
 
 namespace edgeshed::service {
@@ -73,7 +73,7 @@ graph::Graph RandomGraph(graph::NodeId n, int extra_edges, uint64_t seed) {
 // GraphStore: versioned datasets
 
 TEST(GraphStoreDynTest, DynGraphIsSharedAndUnknownNameIsNotFound) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   RegisterGraph(store, "g", Path(6));
 
@@ -90,7 +90,7 @@ TEST(GraphStoreDynTest, DynGraphIsSharedAndUnknownNameIsNotFound) {
 }
 
 TEST(GraphStoreDynTest, ApplyMutationsBumpsGenerationAndServesMutatedGraph) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   RegisterGraph(store, "g", Path(6));  // edges {0,1}..{4,5}
 
@@ -116,7 +116,7 @@ TEST(GraphStoreDynTest, ApplyMutationsBumpsGenerationAndServesMutatedGraph) {
 }
 
 TEST(GraphStoreDynTest, InvalidBatchLeavesStoreUntouched) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   RegisterGraph(store, "g", Path(6));
 
@@ -141,7 +141,7 @@ TEST(GraphStoreDynTest, InvalidBatchLeavesStoreUntouched) {
 }
 
 TEST(GraphStoreDynTest, ReplaceStartsFreshDynamicHistory) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   RegisterGraph(store, "g", Path(6));
 
@@ -170,7 +170,7 @@ TEST(GraphStoreDynTest, ReplaceStartsFreshDynamicHistory) {
 // JobScheduler: "crr-inc" sessions
 
 TEST(JobSchedulerDynTest, CrrIncColdMatchesCrrBitIdentically) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   RegisterGraph(store, "g", RandomGraph(80, 160, 9));
   JobScheduler scheduler(&store, &metrics, {.workers = 2});
@@ -192,7 +192,7 @@ TEST(JobSchedulerDynTest, CrrIncColdMatchesCrrBitIdentically) {
 }
 
 TEST(JobSchedulerDynTest, CrrIncReshedsIncrementallyAfterMutations) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   const graph::Graph base = RandomGraph(80, 160, 9);
   RegisterGraph(store, "g", base);
@@ -238,7 +238,7 @@ std::string ReadBytes(const std::string& path) {
 }
 
 TEST(JobSchedulerDynTest, CrrIncOutputMatchesMaterializedSubgraphByteForByte) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   const graph::Graph base = RandomGraph(80, 160, 9);
   RegisterGraph(store, "g", base);
@@ -306,7 +306,7 @@ TEST(JobSchedulerDynTest, CrrIncOutputMatchesMaterializedSubgraphByteForByte) {
 }
 
 TEST(JobSchedulerDynTest, MutationInvalidatesResultCache) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   RegisterGraph(store, "g", RandomGraph(60, 120, 3));
   JobScheduler scheduler(&store, &metrics, {.workers = 2});
@@ -332,7 +332,7 @@ TEST(JobSchedulerDynTest, MutationInvalidatesResultCache) {
 TEST(JobSchedulerDynTest, CrrIncIsNotAKnownStaticShedder) {
   // crr-inc dispatches through the scheduler's session path; it must be
   // accepted by Submit but stay off the static-shedder degradation ladder.
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   RegisterGraph(store, "g", Path(6));
   JobScheduler scheduler(&store, &metrics, {.workers = 1});

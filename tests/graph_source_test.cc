@@ -17,12 +17,6 @@ namespace {
 
 using ::edgeshed::testing::PaperExampleGraph;
 
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
 void WriteFile(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -39,7 +33,7 @@ TEST_F(GraphSourceTest, SniffClassifiesMagics) {
   EXPECT_EQ(SniffGraphFormat("EDGSHED1........"), GraphFormat::kSnapshot);
   EXPECT_EQ(SniffGraphFormat("EDGSHED2........"), GraphFormat::kSnapshot);
   EXPECT_EQ(SniffGraphFormat("EDGSHED3........"), GraphFormat::kSnapshot);
-  EXPECT_EQ(SniffGraphFormat("EDGSHEDL........"), GraphFormat::kBinaryEdges);
+  EXPECT_EQ(SniffGraphFormat("EDGSHEDL........"), GraphFormat::kSnapshot);
   EXPECT_EQ(SniffGraphFormat("# comment\n0 1\n"), GraphFormat::kText);
   EXPECT_EQ(SniffGraphFormat("0 1\n"), GraphFormat::kText);
   EXPECT_EQ(SniffGraphFormat(""), GraphFormat::kText);
@@ -49,13 +43,13 @@ TEST_F(GraphSourceTest, SniffClassifiesMagics) {
 
 TEST_F(GraphSourceTest, FormatNamesRoundTrip) {
   for (const GraphFormat f :
-       {GraphFormat::kAuto, GraphFormat::kText, GraphFormat::kBinaryEdges,
-        GraphFormat::kSnapshot}) {
+       {GraphFormat::kAuto, GraphFormat::kText, GraphFormat::kSnapshot}) {
     auto parsed = ParseGraphFormat(GraphFormatName(f));
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(*parsed, f);
   }
   EXPECT_FALSE(ParseGraphFormat("csv").ok());
+  EXPECT_FALSE(ParseGraphFormat("binary_edges").ok());
   EXPECT_EQ(ParseGraphFormat("csv").status().code(),
             StatusCode::kInvalidArgument);
 }
@@ -85,15 +79,12 @@ TEST_F(GraphSourceTest, AutoLoadsEveryFormat) {
   auto ref = LoadGraph(text);
   ASSERT_TRUE(ref.ok());
 
-  const std::string binary = TempPath("auto.ebl");
-  ASSERT_TRUE(
-      SaveBinaryEdgeList(ref->graph, ref->original_ids, binary).ok());
   const std::string snapshot = TempPath("auto.es3");
   SnapshotOptions snapshot_options;
   snapshot_options.original_ids = ref->original_ids;
   ASSERT_TRUE(SaveBinaryGraph(ref->graph, snapshot, snapshot_options).ok());
 
-  for (const std::string& path : {text, binary, snapshot}) {
+  for (const std::string& path : {text, snapshot}) {
     auto loaded = LoadGraph(path);  // implicit GraphSource, kAuto
     ASSERT_TRUE(loaded.ok()) << path << ": " << loaded.status().ToString();
     EXPECT_EQ(loaded->graph.edges(), ref->graph.edges()) << path;
@@ -109,7 +100,9 @@ TEST_F(GraphSourceTest, ExplicitFormatMismatchFails) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(loaded.status().message().find("EDGSHED3"), std::string::npos);
 
-  loaded = LoadGraph({snapshot, GraphFormat::kBinaryEdges});
+  const std::string text = TempPath("mismatch.txt");
+  WriteFile(text, "0 1\n");
+  loaded = LoadGraph({text, GraphFormat::kSnapshot});
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
@@ -130,66 +123,20 @@ TEST_F(GraphSourceTest, TextLoadPreservesOriginalIds) {
   EXPECT_EQ(loaded->original_ids, want);
 }
 
-TEST_F(GraphSourceTest, BinaryEdgeListRoundTripsLoadedGraphExactly) {
+TEST_F(GraphSourceTest, SnapshotRoundTripsLoadedGraphExactly) {
   const std::string text = TempPath("rt.txt");
   WriteFile(text, "500 9\n9 8\n8 500\n500 77\n9 8\n");  // dup collapses
   auto from_text = LoadGraph(text);
   ASSERT_TRUE(from_text.ok());
 
-  const std::string binary = TempPath("rt.ebl");
-  ASSERT_TRUE(SaveBinaryEdgeList(from_text->graph, from_text->original_ids,
-                                 binary)
-                  .ok());
+  const std::string binary = TempPath("rt.es3");
+  SnapshotOptions options;
+  options.original_ids = from_text->original_ids;
+  ASSERT_TRUE(SaveBinaryGraph(from_text->graph, binary, options).ok());
   auto from_binary = LoadGraph(binary);
   ASSERT_TRUE(from_binary.ok()) << from_binary.status().ToString();
   EXPECT_EQ(from_binary->graph.edges(), from_text->graph.edges());
   EXPECT_EQ(from_binary->original_ids, from_text->original_ids);
-}
-
-TEST_F(GraphSourceTest, BinaryEdgeListIdentityIdsWrittenWhenNoRemap) {
-  const Graph g = PaperExampleGraph();
-  const std::string path = TempPath("identity.ebl");
-  ASSERT_TRUE(SaveBinaryEdgeList(g, {}, path).ok());
-  auto loaded = LoadBinaryEdgeList(path);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->original_ids.size(), g.NumNodes());
-  for (uint64_t i = 0; i < g.NumNodes(); ++i) {
-    EXPECT_EQ(loaded->original_ids[i], i);
-  }
-}
-
-TEST_F(GraphSourceTest, BinaryEdgeListKeepsIsolatedVertices) {
-  const Graph g = edgeshed::testing::MustBuild(10, {{0, 1}});
-  const std::string path = TempPath("isolated.ebl");
-  ASSERT_TRUE(SaveBinaryEdgeList(g, {}, path).ok());
-  auto loaded = LoadBinaryEdgeList(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->graph.NumNodes(), 10u);
-}
-
-TEST_F(GraphSourceTest, BinaryEdgeListFlippedByteIsDataLoss) {
-  const Graph g = PaperExampleGraph();
-  const std::string path = TempPath("corrupt.ebl");
-  ASSERT_TRUE(SaveBinaryEdgeList(g, {}, path).ok());
-  std::string bytes = ReadFile(path);
-  bytes[bytes.size() - 6] ^= 0x10;  // payload byte, not the footer
-  const std::string bad = TempPath("corrupt_bad.ebl");
-  WriteFile(bad, bytes);
-  auto loaded = LoadBinaryEdgeList(bad);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
-}
-
-TEST_F(GraphSourceTest, BinaryEdgeListTruncationIsInvalidArgument) {
-  const Graph g = PaperExampleGraph();
-  const std::string path = TempPath("short.ebl");
-  ASSERT_TRUE(SaveBinaryEdgeList(g, {}, path).ok());
-  const std::string bytes = ReadFile(path);
-  const std::string bad = TempPath("short_bad.ebl");
-  WriteFile(bad, bytes.substr(0, bytes.size() - 9));
-  auto loaded = LoadBinaryEdgeList(bad);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(GraphSourceTest, ThreadCountDoesNotChangeTextLoad) {

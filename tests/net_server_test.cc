@@ -482,10 +482,10 @@ TEST_F(RpcServerTest, ShedWithOutputWritesTheKeptSnapshot) {
   ASSERT_TRUE(shedder.ok());
   auto local = (*shedder)->Reduce(Clique(40), 0.5);
   ASSERT_TRUE(local.ok());
-  auto snapshot = graph::LoadBinaryGraph(out_dir + "/clique.kept.esg");
+  auto snapshot = graph::LoadSnapshot(out_dir + "/clique.kept.esg");
   ASSERT_TRUE(snapshot.ok()) << snapshot.status();
-  EXPECT_EQ(snapshot->NumNodes(), 40u);
-  EXPECT_EQ(snapshot->NumEdges(), local->kept_edges.size());
+  EXPECT_EQ(snapshot->graph.NumNodes(), 40u);
+  EXPECT_EQ(snapshot->graph.NumEdges(), local->kept_edges.size());
 }
 
 TEST_F(RpcServerTest, ShedWithOutputNeedsAnOutputDirectory) {

@@ -479,25 +479,24 @@ TEST(WireMessageTest, ApplyMutationsHostileCountFailsWithoutAllocating) {
 // ---------------------------------------------------------------------------
 // v1 <-> v2 compatibility (QoS tails)
 
-TEST(WireCompatTest, OlderFrameVersionsWithinRangeAreAccepted) {
+TEST(WireCompatTest, OnlyTheCurrentFrameVersionIsAccepted) {
   std::string bytes = EncodeFrame(MessageType::kPingRequest,
                                   EncodePing(PingMessage{1}));
   ASSERT_EQ(static_cast<uint8_t>(bytes[4]), kWireVersion);
-  // A v1 peer's frame (the CRC covers only the payload, so patching the
-  // version byte keeps the frame valid).
-  bytes[4] = static_cast<char>(kWireMinVersion);
-  DecodeResult v1 = DecodeFrame(bytes);
-  EXPECT_EQ(v1.event, DecodeEvent::kFrame);
-
-  bytes[4] = static_cast<char>(kWireMinVersion - 1);
-  EXPECT_EQ(DecodeFrame(bytes).event, DecodeEvent::kError);
-  bytes[4] = static_cast<char>(kWireVersion + 1);
-  EXPECT_EQ(DecodeFrame(bytes).event, DecodeEvent::kError);
+  EXPECT_EQ(DecodeFrame(bytes).event, DecodeEvent::kFrame);
+  // The CRC covers only the payload, so patching the version byte leaves
+  // the frame otherwise valid: the version alone must reject it.
+  for (const int version : {kWireVersion - 1, 1, 0, kWireVersion + 1}) {
+    bytes[4] = static_cast<char>(version);
+    const DecodeResult result = DecodeFrame(bytes);
+    ASSERT_EQ(result.event, DecodeEvent::kError) << "version " << version;
+    EXPECT_EQ(result.error.code(), StatusCode::kInvalidArgument);
+  }
 }
 
-TEST(WireCompatTest, V1ShedRequestBodyDecodesWithDefaultTail) {
-  // A v1 encoder stops after `output`; the decoder must supply neutral QoS
-  // defaults (default tenant, normal lane) rather than failing.
+TEST(WireCompatTest, ShedRequestCutBeforeQosFieldsIsInvalidArgument) {
+  // Tenant and priority are required: a body that stops after `output`
+  // (the shape of the retired v1 encoding) is truncated, not defaulted.
   WireWriter w;
   w.PutString("clique");
   w.PutString("crr");
@@ -508,13 +507,8 @@ TEST(WireCompatTest, V1ShedRequestBodyDecodesWithDefaultTail) {
   w.PutString("out");  // output
 
   ShedRequest decoded;
-  decoded.tenant = "stale";
-  decoded.priority = 9;
-  ASSERT_TRUE(DecodeShedRequest(w.bytes(), &decoded).ok());
-  EXPECT_EQ(decoded.dataset, "clique");
-  EXPECT_EQ(decoded.deadline_ms, 2500u);
-  EXPECT_TRUE(decoded.tenant.empty());
-  EXPECT_EQ(decoded.priority, 0);
+  const Status status = DecodeShedRequest(w.bytes(), &decoded);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
 }
 
 TEST(WireCompatTest, ShedRequestRoundTripsTenantAndPriority) {
@@ -528,7 +522,7 @@ TEST(WireCompatTest, ShedRequestRoundTripsTenantAndPriority) {
   EXPECT_EQ(decoded.priority, 1);
 }
 
-TEST(WireCompatTest, V1ResultSummaryBodyDecodesWithDefaultTail) {
+TEST(WireCompatTest, ResultSummaryCutBeforeQosFieldsIsInvalidArgument) {
   WireWriter w;
   w.PutU64(3);       // job_id
   w.PutU64(120);     // kept_edges
@@ -541,15 +535,22 @@ TEST(WireCompatTest, V1ResultSummaryBodyDecodesWithDefaultTail) {
   w.PutDouble(12.0);
 
   ResultSummary decoded;
-  decoded.applied_method = "stale";
-  decoded.applied_p = 0.9;
-  decoded.degrade_kind = 2;
-  ASSERT_TRUE(DecodeResultSummaryBody(w.bytes(), &decoded).ok());
-  EXPECT_EQ(decoded.kept_edges, 120u);
-  ASSERT_EQ(decoded.stats.size(), 1u);
-  EXPECT_TRUE(decoded.applied_method.empty());
-  EXPECT_DOUBLE_EQ(decoded.applied_p, 0.0);
-  EXPECT_EQ(decoded.degrade_kind, 0);
+  const Status status = DecodeResultSummaryBody(w.bytes(), &decoded);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+}
+
+TEST(WireCompatTest, GetStatusResponseCutBeforeQosFieldsIsInvalidArgument) {
+  WireWriter w;
+  w.PutU8(2);         // state
+  w.PutU8(0);         // code
+  w.PutString("");    // message
+  w.PutU8(0);         // deduplicated
+  w.PutDouble(0.01);  // queue_seconds
+  w.PutDouble(0.25);  // run_seconds
+
+  GetStatusResponse decoded;
+  const Status status = DecodeGetStatusResponseBody(w.bytes(), &decoded);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
 }
 
 TEST(WireCompatTest, AppliedTierRoundTripsOnSummaryAndStatus) {

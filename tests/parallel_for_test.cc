@@ -1,4 +1,4 @@
-#include "common/parallel_for.h"
+#include "common/parallel.h"
 
 #include <gtest/gtest.h>
 

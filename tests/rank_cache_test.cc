@@ -11,9 +11,9 @@
 #include "common/random.h"
 #include "core/crr.h"
 #include "graph/generators/generators.h"
+#include "obs/metrics.h"
 #include "service/graph_store.h"
 #include "service/job_scheduler.h"
-#include "service/metrics_registry.h"
 #include "testing/test_graphs.h"
 
 namespace edgeshed::service {
@@ -36,7 +36,7 @@ double StatValue(const core::SheddingResult& result, const std::string& key) {
 // ---- RankCache unit tests ----
 
 TEST(RankCacheTest, MissComputesThenHitsShareWithoutRecompute) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   RankCache cache({}, &metrics);
   graph::Graph g = SmallScaleFree();
   analytics::BetweennessOptions options;
@@ -93,7 +93,7 @@ TEST(RankCacheTest, GenerationBumpForcesRecompute) {
 }
 
 TEST(RankCacheTest, EvictsLeastRecentlyUsedPastByteBudget) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   graph::Graph g = SmallScaleFree();
   RankCacheOptions options;
   // Room for one ranking (|E| ids) but not two.
@@ -128,7 +128,7 @@ TEST(RankCacheTest, OversizedSingleRankingIsStillServed) {
 }
 
 TEST(RankCacheTest, InvalidateDatasetDropsAllItsGenerations) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   RankCache cache({}, &metrics);
   graph::Graph g = SmallScaleFree();
   analytics::BetweennessOptions options;
@@ -144,7 +144,7 @@ TEST(RankCacheTest, InvalidateDatasetDropsAllItsGenerations) {
 }
 
 TEST(RankCacheTest, CancelledComputeIsNeitherCachedNorShared) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   RankCache cache({}, &metrics);
   graph::Graph g = SmallScaleFree();
   CancellationToken token;
@@ -211,7 +211,7 @@ TEST(GraphStoreReplaceTest, GenerationIsZeroForUnknownNames) {
 // ---- Scheduler integration: jobs share one ranking phase ----
 
 TEST(RankCacheSchedulerTest, CrrJobsAtDifferentPShareOneRanking) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   ASSERT_TRUE(store
                   .Register("ds",
@@ -264,7 +264,7 @@ TEST(RankCacheSchedulerTest, CrrJobsAtDifferentPShareOneRanking) {
 }
 
 TEST(RankCacheSchedulerTest, DatasetReplaceInvalidatesRankingAndResults) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   ASSERT_TRUE(store
                   .Register("ds",

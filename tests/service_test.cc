@@ -20,10 +20,10 @@
 #include "graph/binary_io.h"
 #include "graph/generators/generators.h"
 #include "graph/source.h"
+#include "obs/metrics.h"
 #include "service/dataset_registry.h"
 #include "service/graph_store.h"
 #include "service/job_scheduler.h"
-#include "service/metrics_registry.h"
 #include "testing/test_graphs.h"
 
 namespace edgeshed::service {
@@ -98,7 +98,7 @@ graph::Graph BigCrrGraph(graph::NodeId nodes = 3000) {
 // MetricsRegistry
 
 TEST(MetricsRegistryTest, CountersGaugesLatencies) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   EXPECT_EQ(metrics.CounterValue("absent"), 0u);
   metrics.IncrementCounter("hits");
   metrics.IncrementCounter("hits", 4);
@@ -121,12 +121,12 @@ TEST(MetricsRegistryTest, CountersGaugesLatencies) {
 
 TEST(MetricsRegistryTest, LatencyBuckets) {
   // 1024 us = 2^10 us -> bucket 10; sub-microsecond collapses to 0.
-  EXPECT_EQ(MetricsRegistry::LatencyBucket(1024e-6), 10);
-  EXPECT_EQ(MetricsRegistry::LatencyBucket(1e-9), 0);
+  EXPECT_EQ(obs::MetricsRegistry::LatencyBucket(1024e-6), 10);
+  EXPECT_EQ(obs::MetricsRegistry::LatencyBucket(1e-9), 0);
 }
 
 TEST(MetricsRegistryTest, TextSnapshotListsEveryInstrument) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   metrics.IncrementCounter("a.count", 2);
   metrics.SetGauge("b.depth", -1);
   metrics.RecordLatency("c.lat", 0.5);
@@ -137,7 +137,7 @@ TEST(MetricsRegistryTest, TextSnapshotListsEveryInstrument) {
 }
 
 TEST(MetricsRegistryTest, ConcurrentIncrementsDoNotLoseUpdates) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&metrics] {
@@ -163,7 +163,7 @@ TEST(GraphStoreTest, RegisterRejectsBadArgsAndDuplicates) {
 }
 
 TEST(GraphStoreTest, GetLoadsOnceThenHits) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   RegisterGraph(store, "clique", Clique(10));
   EXPECT_FALSE(store.IsResident("clique"));
@@ -202,7 +202,7 @@ TEST(GraphStoreTest, LoaderFailureIsReturnedAndRetried) {
 }
 
 TEST(GraphStoreTest, EvictsLruUnderByteBudgetAndReloadsTransparently) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStoreOptions options;
   // Fits one Clique(30) (435 edges) but not two.
   options.byte_budget = GraphStore::ApproxBytes(Clique(30)) + 100;
@@ -241,7 +241,7 @@ TEST(GraphStoreTest, EvictionKeepsLeasesAlive) {
 }
 
 TEST(GraphStoreTest, ConcurrentMissesLoadOnce) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   std::atomic<int> loads{0};
   ASSERT_TRUE(store
@@ -270,7 +270,7 @@ TEST(GraphStoreTest, ConcurrentMissesLoadOnce) {
 // re-run the failing loader (a retry stampede). Now every Get blocked on
 // the failing wave shares the loader's Status; only *fresh* Gets retry.
 TEST(GraphStoreTest, LoadFailurePropagatesToBlockedWaiters) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   std::atomic<int> calls{0};
   std::atomic<int> arrivals{0};
@@ -486,7 +486,7 @@ TEST(JobSchedulerTest, UnknownIdsAreNotFound) {
 // Acceptance: >= 32 jobs submitted from >= 4 threads all complete, with
 // results identical to direct EdgeShedder::Reduce calls.
 TEST(JobSchedulerTest, ConcurrentSubmissionsMatchDirectReduce) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   const graph::Graph clique = Clique(24);
   const graph::Graph paper = testing::PaperExampleGraph();
@@ -560,7 +560,7 @@ TEST(JobSchedulerTest, ConcurrentSubmissionsMatchDirectReduce) {
 // Acceptance: duplicate submissions hit the result cache, observed through
 // MetricsRegistry counters.
 TEST(JobSchedulerTest, DuplicateSubmissionHitsResultCache) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   RegisterGraph(store, "g", Clique(16));
   JobScheduler scheduler(&store, &metrics, {.workers = 2});
@@ -595,7 +595,7 @@ TEST(JobSchedulerTest, DuplicateSubmissionHitsResultCache) {
 }
 
 TEST(JobSchedulerTest, InFlightDuplicatesCoalesce) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   RegisterSlowGraph(store, "sleepy", std::chrono::milliseconds(100));
   JobScheduler scheduler(&store, &metrics, {.workers = 1});
@@ -616,7 +616,7 @@ TEST(JobSchedulerTest, InFlightDuplicatesCoalesce) {
 // Acceptance: a job whose deadline expired while queued reports kCancelled
 // without blocking the pool.
 TEST(JobSchedulerTest, ExpiredDeadlineCancelsWithoutBlockingPool) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   RegisterSlowGraph(store, "sleepy", std::chrono::milliseconds(150));
   RegisterGraph(store, "fast", Clique(10));
@@ -667,7 +667,7 @@ TEST(JobSchedulerTest, CancelQueuedJobIsImmediate) {
 // Acceptance: Cancel on a running job trips its token and the kernel
 // actually stops — observed through scheduler.cancelled_while_running.
 TEST(JobSchedulerTest, CancelStopsRunningKernel) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   RegisterGraph(store, "big", BigCrrGraph());
   JobScheduler scheduler(&store, &metrics, {.workers = 1});
@@ -688,7 +688,7 @@ TEST(JobSchedulerTest, CancelStopsRunningKernel) {
 // Acceptance: a deadline that expires mid-kernel terminates the running job
 // (not just queued ones) with kDeadlineExceeded.
 TEST(JobSchedulerTest, DeadlineInterruptsRunningJob) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   // The slow loader guarantees the job is dispatched (passes the queue-side
   // deadline check) before the deadline fires inside the kernel.
@@ -722,7 +722,7 @@ TEST(JobSchedulerTest, DeadlineInterruptsRunningJob) {
 // Acceptance: terminal job records are garbage collected once the retained
 // count exceeds max_retained_jobs — scheduler memory stays bounded.
 TEST(JobSchedulerTest, TerminalJobsAreGarbageCollectedByCount) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   RegisterGraph(store, "g", Clique(12));
   JobSchedulerOptions options;
@@ -778,7 +778,7 @@ TEST(JobSchedulerTest, TerminalJobsExpireAfterRetentionWindow) {
 // pressure, stays under budget, and evicted entries simply re-execute
 // (deterministically) instead of failing.
 TEST(JobSchedulerTest, ResultCacheIsByteBoundedLru) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   const graph::Graph g = Clique(16);
   RegisterGraph(store, "g", g);
@@ -815,7 +815,7 @@ TEST(JobSchedulerTest, ResultCacheIsByteBoundedLru) {
 // Acceptance: cancelling a coalesced primary must not take its followers
 // down with it — the first live follower is promoted and re-queued.
 TEST(JobSchedulerTest, CancelOfQueuedPrimaryPromotesFollower) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   RegisterSlowGraph(store, "sleepy", std::chrono::milliseconds(150));
   const graph::Graph g = Clique(14);
@@ -856,7 +856,7 @@ TEST(JobSchedulerTest, CancelOfQueuedPrimaryPromotesFollower) {
 // Same guarantee when the primary is already running: the token trips, the
 // kernel aborts, and the follower re-runs the spec to completion.
 TEST(JobSchedulerTest, CancelOfRunningPrimaryPromotesFollower) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   const graph::Graph big = BigCrrGraph(1500);
   RegisterGraph(store, "big", big);
@@ -885,7 +885,7 @@ TEST(JobSchedulerTest, CancelOfRunningPrimaryPromotesFollower) {
 }
 
 TEST(JobSchedulerTest, BoundedQueueRejectsWhenFull) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   RegisterSlowGraph(store, "sleepy", std::chrono::milliseconds(150));
   RegisterGraph(store, "fast", Clique(10));
@@ -937,7 +937,7 @@ TEST(JobSchedulerTest, ShutdownCancelsQueuedJobsAndStopsIntake) {
 // End-to-end: scheduler + store under a tiny budget — evictions and reloads
 // happen mid-stream and every job still returns the right answer.
 TEST(JobSchedulerTest, JobsSurviveStoreEvictionsMidStream) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStoreOptions store_options;
   store_options.byte_budget = GraphStore::ApproxBytes(Clique(20)) + 100;
   GraphStore store(store_options, &metrics);
@@ -987,7 +987,7 @@ TEST(JobSchedulerTest, QueueSecondsAndRunSecondsArePopulated) {
 }
 
 TEST(JobSchedulerTest, PublishesPerPhaseSheddingTimings) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   RegisterGraph(store, "g", Clique(24));
   JobScheduler scheduler(&store, &metrics, {.workers = 1});
@@ -998,9 +998,9 @@ TEST(JobSchedulerTest, PublishesPerPhaseSheddingTimings) {
 
   // CRR reports phase1_seconds/phase2_seconds in SheddingResult::stats; the
   // scheduler republishes them as latency series.
-  const LatencySnapshot phase1 =
+  const obs::LatencySnapshot phase1 =
       metrics.LatencyValue("scheduler.phase1_seconds");
-  const LatencySnapshot phase2 =
+  const obs::LatencySnapshot phase2 =
       metrics.LatencyValue("scheduler.phase2_seconds");
   EXPECT_EQ(phase1.count, 1u);
   EXPECT_EQ(phase2.count, 1u);
@@ -1033,10 +1033,10 @@ TEST(JobSchedulerTest, OutputPathWritesTheKeptSnapshot) {
   auto result = scheduler.Wait(*id);
   ASSERT_TRUE(result.ok()) << result.status();
 
-  auto snapshot = graph::LoadBinaryGraph(path);
+  auto snapshot = graph::LoadSnapshot(path);
   ASSERT_TRUE(snapshot.ok()) << snapshot.status();
-  EXPECT_EQ(snapshot->NumNodes(), 12u);
-  EXPECT_EQ(snapshot->NumEdges(), (*result)->kept_edges.size());
+  EXPECT_EQ(snapshot->graph.NumNodes(), 12u);
+  EXPECT_EQ(snapshot->graph.NumEdges(), (*result)->kept_edges.size());
 
   // output_path is part of the dedup key: the same shed without an output
   // is a distinct job, not a cache hit that would skip the write.
@@ -1147,7 +1147,7 @@ size_t CountPrefix(const std::vector<std::string>& order, size_t n,
 // dispatch slots split ~4:1. One worker + a plugged job make the deficit-
 // round-robin order fully deterministic.
 TEST(JobSchedulerQosTest, FairShareDispatchFollowsWeights) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   auto plug = std::make_shared<Plug>();
   auto log = std::make_shared<DispatchLog>();
@@ -1202,7 +1202,7 @@ TEST(JobSchedulerQosTest, FairShareDispatchFollowsWeights) {
 // Acceptance (ISSUE 8): a priority-lane job dispatches ahead of
 // earlier-queued normal-lane work from any tenant.
 TEST(JobSchedulerQosTest, PriorityLanePreemptsQueueOrder) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   auto plug = std::make_shared<Plug>();
   auto log = std::make_shared<DispatchLog>();
@@ -1244,7 +1244,7 @@ TEST(JobSchedulerQosTest, PriorityLanePreemptsQueueOrder) {
 // A priority duplicate of a queued normal-lane job boosts the primary into
 // the priority lane instead of forking a second execution.
 TEST(JobSchedulerQosTest, PriorityDuplicateBoostsQueuedPrimary) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   auto plug = std::make_shared<Plug>();
   auto log = std::make_shared<DispatchLog>();
@@ -1283,7 +1283,7 @@ TEST(JobSchedulerQosTest, PriorityDuplicateBoostsQueuedPrimary) {
 // A tenant at its max_running quota is skipped — other tenants keep the
 // spare worker — and resumes once one of its jobs finishes.
 TEST(JobSchedulerQosTest, TenantQuotaCapsConcurrency) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   auto log = std::make_shared<DispatchLog>();
   RegisterLoggedGraph(store, "c0", log, std::chrono::milliseconds(150));
@@ -1330,7 +1330,7 @@ TEST(JobSchedulerQosTest, TenantQuotaCapsConcurrency) {
 // Acceptance (ISSUE 8): under pressure an opted-in CRR request is served by
 // a cheaper ladder tier, and the applied tier is recorded — never silent.
 TEST(JobSchedulerQosTest, DegradationTierIsRecordedNeverSilent) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   const graph::Graph g = Clique(16);
   RegisterGraph(store, "g", g);
@@ -1386,7 +1386,7 @@ TEST(JobSchedulerQosTest, DegradationTierIsRecordedNeverSilent) {
 // result for the requested method is served instead of computing anything,
 // with the applied p recorded (requested p untouched).
 TEST(JobSchedulerQosTest, DegradationServesCachedCoarserP) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   RegisterGraph(store, "g", Clique(16));
 
@@ -1446,7 +1446,7 @@ TEST(JobSchedulerQosTest, DegradationServesCachedCoarserP) {
 // No pressure, no opt-in, or a disabled policy: requests run exactly as
 // submitted.
 TEST(JobSchedulerQosTest, NoDegradationWithoutPressureOrOptIn) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   RegisterGraph(store, "g", Clique(12));
 
@@ -1488,7 +1488,7 @@ TEST(JobSchedulerQosTest, NoDegradationWithoutPressureOrOptIn) {
 // Tenants never share dedup: identical specs under different tenants are
 // separate executions (QoS isolation beats cross-tenant caching).
 TEST(JobSchedulerQosTest, TenantIsPartOfTheDedupKey) {
-  MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   GraphStore store({}, &metrics);
   RegisterGraph(store, "g", Clique(12));
   JobScheduler scheduler(&store, &metrics, {.workers = 1});

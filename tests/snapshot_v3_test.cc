@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <string>
@@ -10,6 +11,7 @@
 #include "graph/edge_list_io.h"
 #include "graph/generators/generators.h"
 #include "graph/snapshot_format.h"
+#include "graph/source.h"
 #include "testing/test_graphs.h"
 
 namespace edgeshed::graph {
@@ -46,6 +48,15 @@ class SnapshotV3Test : public ::testing::Test {
     return path;
   }
 };
+
+/// Whether two graphs have identical CSR arrays and edge lists.
+bool SameCsr(const Graph& a, const Graph& b) {
+  return a.NumNodes() == b.NumNodes() &&
+         std::ranges::equal(a.edges(), b.edges()) &&
+         std::ranges::equal(a.RawOffsets(), b.RawOffsets()) &&
+         std::ranges::equal(a.RawAdjacency(), b.RawAdjacency()) &&
+         std::ranges::equal(a.RawIncident(), b.RawIncident());
+}
 
 void ExpectSameGraph(const Graph& a, const Graph& b) {
   ASSERT_EQ(a.NumNodes(), b.NumNodes());
@@ -157,20 +168,116 @@ TEST_F(SnapshotV3Test, UnusualAlignmentAndChunkSizesRoundTrip) {
 }
 
 TEST_F(SnapshotV3Test, RejectsUnsupportedVersion) {
-  SnapshotOptions options;
-  options.version = 7;
   const Graph g = PaperExampleGraph();
-  const Status s = SaveBinaryGraph(g, TempPath("v7.es3"), options);
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  for (const uint32_t version : {0u, 1u, 2u, 4u, 7u}) {
+    SnapshotOptions options;
+    options.version = version;
+    const Status s = SaveBinaryGraph(g, TempPath("v7.es3"), options);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << "version " << version;
+  }
 }
 
-TEST_F(SnapshotV3Test, BareSaveStillWritesV2) {
+TEST_F(SnapshotV3Test, BareSaveWritesV3) {
   const Graph g = PaperExampleGraph();
-  const std::string path = TempPath("compat.esg");
+  const std::string path = TempPath("bare.esg");
   ASSERT_TRUE(SaveBinaryGraph(g, path).ok());
   const std::string bytes = ReadFile(path);
   ASSERT_GE(bytes.size(), 8u);
-  EXPECT_EQ(bytes.substr(0, 8), "EDGSHED2");
+  EXPECT_EQ(bytes.substr(0, 8), "EDGSHED3");
+  auto loaded = LoadSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded->graph.IsMapped());
+}
+
+TEST_F(SnapshotV3Test, AnyFlippedByteFailsOrLoadsTheSameGraph) {
+  // Flip every byte of a small multi-chunk snapshot in turn, for both load
+  // paths. Each corruption must fail with DataLoss (a CRC caught it) or
+  // InvalidArgument (a field sanity check caught it first), or — for the
+  // zero padding between the header and the first section, which no CRC
+  // covers — load the very same graph and ids. Never OK with a different
+  // graph.
+  Rng rng(5);
+  const Graph g = BarabasiAlbert(100, 3, rng);
+  std::vector<uint64_t> ids(g.NumNodes());
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = 7 * i + 1;
+  SnapshotOptions options;
+  options.page_align = 64;
+  options.chunk_bytes = 4096;
+  options.original_ids = ids;
+  const std::string path = TempPath("bitrot.es3");
+  ASSERT_TRUE(SaveBinaryGraph(g, path, options).ok());
+  const std::string pristine = ReadFile(path);
+  ASSERT_GT(pristine.size(), 2 * options.chunk_bytes);
+
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(file.good());
+  for (const bool mmap : {true, false}) {
+    SCOPED_TRACE(mmap ? "mmap" : "copy");
+    IngestOptions load;
+    load.mmap = mmap;
+    int data_loss = 0;
+    int unchanged = 0;
+    for (size_t i = 0; i < pristine.size(); ++i) {
+      file.seekp(static_cast<std::streamoff>(i));
+      file.put(static_cast<char>(pristine[i] ^ 0x01));
+      file.flush();
+      auto loaded = LoadSnapshot(path, load);
+      file.seekp(static_cast<std::streamoff>(i));
+      file.put(pristine[i]);
+      file.flush();
+      if (loaded.ok()) {
+        ++unchanged;
+        const bool same =
+            SameCsr(loaded->graph, g) && loaded->original_ids == ids;
+        ASSERT_TRUE(same) << "byte " << i << " loaded a different graph";
+        continue;
+      }
+      const StatusCode code = loaded.status().code();
+      ASSERT_TRUE(code == StatusCode::kDataLoss ||
+                  code == StatusCode::kInvalidArgument)
+          << "byte " << i << ": " << loaded.status().ToString();
+      if (code == StatusCode::kDataLoss) ++data_loss;
+    }
+    EXPECT_GT(data_loss, 0);
+    // Only header padding loads: far fewer bytes than one chunk.
+    EXPECT_LT(unchanged, 64);
+  }
+  EXPECT_EQ(ReadFile(path), pristine);
+}
+
+TEST_F(SnapshotV3Test, RetiredMagicsAreRejectedNamingTheMagic) {
+  // The retired v1/v2 snapshots and the binary edge list still sniff as
+  // binary, so no loader parses them as text; each names the magic and
+  // says to re-convert.
+  for (const std::string magic : {"EDGSHED1", "EDGSHED2", "EDGSHEDL"}) {
+    SCOPED_TRACE(magic);
+    const std::string path = TempPath("retired_" + magic + ".esg");
+    // Node count 2, edge count 1, edge (0, 1), as the retired writers laid
+    // out their headers.
+    std::string bytes = magic;
+    for (const uint64_t field : {uint64_t{2}, uint64_t{1}, uint64_t{1} << 32}) {
+      for (int b = 0; b < 8; ++b) {
+        bytes.push_back(static_cast<char>((field >> (8 * b)) & 0xff));
+      }
+    }
+    WriteFile(path, bytes);
+    EXPECT_EQ(SniffGraphFormat(bytes), GraphFormat::kSnapshot);
+    const StatusOr<LoadedGraph> attempts[] = {
+        LoadGraph(path),
+        LoadGraph({path, GraphFormat::kSnapshot}),
+        LoadGraph({path, GraphFormat::kText}),
+        LoadEdgeList(path),
+    };
+    for (const StatusOr<LoadedGraph>& loaded : attempts) {
+      ASSERT_FALSE(loaded.ok());
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(loaded.status().message().find(magic), std::string::npos)
+          << loaded.status().ToString();
+      EXPECT_NE(loaded.status().message().find("re-convert"),
+                std::string::npos)
+          << loaded.status().ToString();
+    }
+  }
 }
 
 // --- Corrupt-file corpus: exact status codes, pinned by ISSUE.md. ---
@@ -200,16 +307,36 @@ TEST_F(SnapshotV3Test, TruncatedDataRegionIsInvalidArgument) {
 }
 
 TEST_F(SnapshotV3Test, FlippedDataByteIsDataLossNamingTheChunk) {
-  const std::string path = SavedPaperSnapshot("flip.es3");
-  std::string bytes = ReadFile(path);
-  bytes[bytes.size() - 1] ^= 0x40;  // inside the last data chunk
-  const std::string bad = TempPath("flip_bad.es3");
-  WriteFile(bad, bytes);
-  auto loaded = LoadSnapshot(bad);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
-  EXPECT_NE(loaded.status().message().find("chunk"), std::string::npos)
-      << loaded.status().ToString();
+  // The paper graph fits in one chunk. The BA graph spans ~1300 4 KiB
+  // chunks, enough for both verifiers to split them across workers.
+  Rng rng(21);
+  const Graph large = BarabasiAlbert(20000, 8, rng);
+  SnapshotOptions small_chunks;
+  small_chunks.chunk_bytes = 4096;
+  const std::string large_path = TempPath("flip_large.es3");
+  ASSERT_TRUE(SaveBinaryGraph(large, large_path, small_chunks).ok());
+  for (const std::string& path :
+       {SavedPaperSnapshot("flip.es3"), large_path}) {
+    std::string bytes = ReadFile(path);
+    bytes[bytes.size() - 1] ^= 0x40;  // inside the last data chunk
+    const std::string bad = path + ".bad";
+    WriteFile(bad, bytes);
+    for (const bool mmap : {true, false}) {
+      IngestOptions options;
+      options.mmap = mmap;
+      options.threads = 4;
+      auto loaded = LoadSnapshot(bad, options);
+      ASSERT_FALSE(loaded.ok()) << path << (mmap ? " mmap" : " copy");
+      EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+      EXPECT_NE(loaded.status().message().find("chunk"), std::string::npos)
+          << loaded.status().ToString();
+    }
+  }
+  IngestOptions parallel;
+  parallel.threads = 4;
+  auto loaded = LoadSnapshot(large_path, parallel);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectSameGraph(loaded->graph, large);
 }
 
 TEST_F(SnapshotV3Test, FlippedHeaderCrcIsDataLoss) {
@@ -282,6 +409,94 @@ TEST_F(SnapshotV3Test, CancelledLoadReturnsCancelled) {
   auto loaded = LoadSnapshot(path, options);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCancelled);
+}
+
+// --- SaveBinaryGraph / LoadSnapshot basics, each through both load paths.
+
+class BinaryIoTest : public SnapshotV3Test {
+ protected:
+  /// Loads `path` with mmap and with a heap copy; both must succeed and
+  /// agree with `g`.
+  void ExpectLoadsAs(const std::string& path, const Graph& g) {
+    for (const bool mmap : {true, false}) {
+      IngestOptions options;
+      options.mmap = mmap;
+      auto loaded = LoadSnapshot(path, options);
+      ASSERT_TRUE(loaded.ok()) << (mmap ? "mmap: " : "copy: ")
+                               << loaded.status().ToString();
+      ExpectSameGraph(loaded->graph, g);
+    }
+  }
+
+  /// Both load paths fail on `path` with `code`.
+  void ExpectLoadFails(const std::string& path, StatusCode code) {
+    for (const bool mmap : {true, false}) {
+      IngestOptions options;
+      options.mmap = mmap;
+      auto loaded = LoadSnapshot(path, options);
+      ASSERT_FALSE(loaded.ok()) << (mmap ? "mmap" : "copy");
+      EXPECT_EQ(loaded.status().code(), code)
+          << loaded.status().ToString();
+    }
+  }
+};
+
+TEST_F(BinaryIoTest, RoundTripPreservesEverything) {
+  const Graph g = PaperExampleGraph();
+  const std::string path = TempPath("paper.esg");
+  ASSERT_TRUE(SaveBinaryGraph(g, path).ok());
+  ExpectLoadsAs(path, g);
+}
+
+TEST_F(BinaryIoTest, RoundTripKeepsIsolatedVertices) {
+  const Graph g = edgeshed::testing::MustBuild(10, {{0, 1}});
+  const std::string path = TempPath("isolated.esg");
+  ASSERT_TRUE(SaveBinaryGraph(g, path).ok());
+  ExpectLoadsAs(path, g);  // unlike text edge lists, all 10 nodes survive
+}
+
+TEST_F(BinaryIoTest, RoundTripLargeRandomGraph) {
+  Rng rng(9);
+  const Graph g = ErdosRenyi(2000, 8000, rng);
+  const std::string path = TempPath("large.esg");
+  ASSERT_TRUE(SaveBinaryGraph(g, path).ok());
+  ExpectLoadsAs(path, g);
+}
+
+TEST_F(BinaryIoTest, EmptyGraphRoundTrip) {
+  const std::string path = TempPath("empty.esg");
+  ASSERT_TRUE(SaveBinaryGraph(Graph(), path).ok());
+  for (const bool mmap : {true, false}) {
+    IngestOptions options;
+    options.mmap = mmap;
+    auto loaded = LoadSnapshot(path, options);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->graph.NumNodes(), 0u);
+    EXPECT_EQ(loaded->graph.NumEdges(), 0u);
+  }
+}
+
+TEST_F(BinaryIoTest, MissingFileIsIOError) {
+  ExpectLoadFails(TempPath("missing.esg"), StatusCode::kIOError);
+}
+
+TEST_F(BinaryIoTest, WrongMagicRejected) {
+  const std::string path = TempPath("bad_magic.esg");
+  WriteFile(path, "definitely not a graph file, sorry");
+  ExpectLoadFails(path, StatusCode::kInvalidArgument);
+}
+
+TEST_F(BinaryIoTest, TruncatedFileRejected) {
+  const std::string path = TempPath("trunc.esg");
+  ASSERT_TRUE(SaveBinaryGraph(PaperExampleGraph(), path).ok());
+  const std::string bytes = ReadFile(path);
+  WriteFile(path, bytes.substr(0, bytes.size() - 6));
+  ExpectLoadFails(path, StatusCode::kInvalidArgument);
+}
+
+TEST_F(BinaryIoTest, SaveToBadPathFails) {
+  EXPECT_FALSE(
+      SaveBinaryGraph(PaperExampleGraph(), "/no_such_dir_xyz/g.esg").ok());
 }
 
 }  // namespace

@@ -7,8 +7,7 @@
 //   edgeshed analyze --input=G.txt [--tasks=degree,components,clustering,
 //                    pagerank,distance] [--top=10]
 //   edgeshed stats   --input=G.txt
-//   edgeshed convert --input=G.any --binary_output=G.esg [--edges_output=
-//                    G.ebl] [--output=G.txt] [--snapshot_version=3]
+//   edgeshed convert --input=G.any --binary_output=G.esg [--output=G.txt]
 //                    [--page_align=4096] [--chunk_kb=1024]
 //                    [--external --budget_mb=256 [--temp_dir=DIR]]
 //   edgeshed generate --dataset=grqc|hepph|enron|livejournal --scale=1.0
@@ -45,14 +44,14 @@
 //                    [--stats_port=P] [--linger_ms=T]
 //
 // Every command that takes --input sniffs the file format (SNAP text edge
-// list, "EDGSHEDL" binary edge list, or "EDGSHED1/2/3" snapshot); --format
-// pins it and --mmap=false forces v3 snapshots to be copied onto the heap
-// instead of served zero-copy from a file mapping (graph/source.h,
-// DESIGN.md §14). `convert` re-encodes between all of them; with
-// --external it streams a text edge list into a v3 snapshot under a fixed
-// memory budget (graph/external_build.h). `service` runs a batch of shedding
-// jobs concurrently through src/service/ (GraphStore + JobScheduler) and
-// prints the metrics snapshot; each jobs-file line reads
+// list or "EDGSHED3" snapshot); --format pins it and --mmap=false forces
+// snapshots to be copied onto the heap instead of served zero-copy from a
+// file mapping (graph/source.h, DESIGN.md §14). `convert` re-encodes
+// between the two; with --external it streams a text edge list into a
+// snapshot under a fixed memory budget (graph/external_build.h). `service`
+// runs a batch of shedding jobs concurrently through src/service/
+// (GraphStore + JobScheduler) and prints the metrics snapshot; each
+// jobs-file line reads
 //   dataset method p [seed] [deadline_ms]
 // with '#' comments. Without --jobs a built-in demo batch is used.
 //
@@ -122,13 +121,13 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "net/wire.h"
+#include "obs/metrics.h"
 #include "obs/prometheus.h"
 #include "obs/stats_server.h"
 #include "obs/tracer.h"
 #include "service/dataset_registry.h"
 #include "service/graph_store.h"
 #include "service/job_scheduler.h"
-#include "service/metrics_registry.h"
 
 using namespace edgeshed;
 
@@ -144,8 +143,7 @@ int Usage() {
                "clustering,pagerank,distance] [--top=10]\n"
                "  stats    --input=G.txt\n"
                "  convert  --input=G.any [--binary_output=G.esg] "
-               "[--edges_output=G.ebl] [--output=G.txt] "
-               "[--snapshot_version=3] [--page_align=4096] [--chunk_kb=1024] "
+               "[--output=G.txt] [--page_align=4096] [--chunk_kb=1024] "
                "[--external --budget_mb=256 [--temp_dir=DIR]]\n"
                "  generate --dataset=grqc|hepph|enron|livejournal "
                "--scale=1.0 --output=G.txt [--seed=N]\n"
@@ -182,17 +180,12 @@ int Usage() {
 }
 
 /// Shared ingest flags: --input takes any format (sniffed by default,
-/// pinned by --format), --mmap=false forces copy loads of v3 snapshots,
-/// --binary_input is the legacy spelling of an explicit snapshot input.
+/// pinned by --format), --mmap=false forces copy loads of snapshots.
 StatusOr<graph::LoadedGraph> LoadInput(const eval::Flags& flags) {
   graph::GraphSource source;
   source.path = flags.GetString("input", "");
   if (source.path.empty()) {
-    source.path = flags.GetString("binary_input", "");
-    if (!source.path.empty()) source.format = graph::GraphFormat::kSnapshot;
-  }
-  if (source.path.empty()) {
-    return Status::InvalidArgument("--input (or --binary_input) is required");
+    return Status::InvalidArgument("--input is required");
   }
   const std::string format = flags.GetString("format", "");
   if (!format.empty()) {
@@ -204,11 +197,10 @@ StatusOr<graph::LoadedGraph> LoadInput(const eval::Flags& flags) {
   return graph::LoadGraph(source, options);
 }
 
-/// The snapshot layout CLI output flags select (`--snapshot_version`,
-/// `--page_align`, `--chunk_kb`).
+/// The snapshot layout CLI output flags select (`--page_align`,
+/// `--chunk_kb`).
 graph::SnapshotOptions SnapshotOptionsFromFlags(const eval::Flags& flags) {
   graph::SnapshotOptions options;
-  options.version = static_cast<uint32_t>(flags.GetInt("snapshot_version", 3));
   options.page_align =
       static_cast<uint64_t>(flags.GetInt("page_align", 4096));
   options.chunk_bytes =
@@ -335,18 +327,16 @@ int CmdAnalyze(const eval::Flags& flags) {
 
 int CmdConvert(const eval::Flags& flags) {
   const std::string binary_output = flags.GetString("binary_output", "");
-  const std::string edges_output = flags.GetString("edges_output", "");
   const std::string output = flags.GetString("output", "");
-  if (binary_output.empty() && output.empty() && edges_output.empty()) {
-    std::cerr
-        << "convert needs --binary_output, --edges_output or --output\n";
+  if (binary_output.empty() && output.empty()) {
+    std::cerr << "convert needs --binary_output or --output\n";
     return Usage();
   }
 
   // --external streams a text edge list straight into a v3 snapshot with
   // bounded memory — the path for inputs too large to materialize.
   if (flags.GetBool("external", false)) {
-    if (binary_output.empty() || !output.empty() || !edges_output.empty()) {
+    if (binary_output.empty() || !output.empty()) {
       std::cerr << "--external converts to --binary_output only\n";
       return Usage();
     }
@@ -392,16 +382,6 @@ int CmdConvert(const eval::Flags& flags) {
       return 1;
     }
     std::printf("wrote %s\n", binary_output.c_str());
-  }
-  if (!edges_output.empty()) {
-    Status status = graph::SaveBinaryEdgeList(input->graph,
-                                              input->original_ids,
-                                              edges_output);
-    if (!status.ok()) {
-      std::cerr << status << "\n";
-      return 1;
-    }
-    std::printf("wrote %s\n", edges_output.c_str());
   }
   if (!output.empty()) {
     Status status = graph::SaveEdgeList(input->graph, output);
@@ -474,7 +454,7 @@ StatusOr<service::JobSpec> ParseJobLine(const std::string& line) {
 }
 
 int CmdService(const eval::Flags& flags) {
-  service::MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
 
   // Observability: tracing is on whenever anything can consume it (a stats
   // server to query /tracez, or a --trace_out dump); otherwise the tracer
@@ -717,7 +697,7 @@ Status ParseTenantsFlag(const std::string& tenants,
 }
 
 int CmdServe(const eval::Flags& flags) {
-  service::MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   const int64_t stats_port = flags.GetInt("stats_port", -1);
   std::unique_ptr<obs::Tracer> tracer;
   if (stats_port >= 0) tracer = std::make_unique<obs::Tracer>();
@@ -1178,7 +1158,7 @@ int CmdCoordinate(const eval::Flags& flags) {
     return 1;
   }
 
-  service::MetricsRegistry metrics;
+  obs::MetricsRegistry metrics;
   const int64_t stats_port = flags.GetInt("stats_port", -1);
   const std::string trace_out = flags.GetString("trace_out", "");
   std::unique_ptr<obs::Tracer> tracer;
