@@ -274,8 +274,7 @@ int Main(int argc, char** argv) {
          &results);
 
   // --- Gate 1: the converter's output is byte-identical to the in-memory
-  // writer's. One cheap untimed comparison; any drift here would also break
-  // resumable fleets that mix converted and saved shards. ---
+  // writer's. One cheap untimed comparison. ---
   EDGESHED_CHECK(ReadWholeFile(converted_path) == ReadWholeFile(v3_path))
       << "external converter output drifted from SaveBinaryGraph v3";
   std::printf("  converter output byte-identical to SaveBinaryGraph v3\n");

@@ -20,8 +20,7 @@
 //   - the fast-ranking CRR path (hybrid kernel + adaptive waves) must keep a
 //     set of edges that overlaps the classic full-ranking CRR at least as
 //     well as classic CRR overlaps a reseeded rerun of itself (the
-//     self-overlap ceiling, same pattern as bench_dist_fleet), minus a small
-//     noise margin.
+//     self-overlap ceiling), minus a small noise margin.
 //
 // Usage:
 //   bench_perf_suite [--out=BENCH_hotpath.json] [--repeats=5] [--smoke]

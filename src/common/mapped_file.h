@@ -13,8 +13,8 @@ namespace edgeshed {
 /// zero-copy snapshot loading (DESIGN.md §14).
 ///
 /// The mapping is private-read (PROT_READ, MAP_SHARED): page-cache pages are
-/// shared between every process that maps the same file, which is what lets
-/// K fleet workers on one box serve the same snapshot for one physical copy.
+/// shared between every process that maps the same file, so several servers
+/// on one box serve the same snapshot for one physical copy.
 /// The file descriptor is closed immediately after mapping — the kernel
 /// keeps the mapping alive — so a MappedFile never pins an fd.
 ///

@@ -17,18 +17,6 @@ StatusOr<std::unique_ptr<EdgeShedder>> MakeShedderByName(
     CrrOptions options;
     options.seed = seed;
     shedder = std::make_unique<Crr>(options);
-  } else if (method == "crr-rank") {
-    // CRR's deterministic Phase-1 core: keep the top round(p·|E|) edges by
-    // betweenness, no Phase-2 rewiring. Structure-driven and seed-stable,
-    // which makes it the fidelity yardstick for distributed shedding —
-    // full CRR's random swaps cap kept-set overlap near its own
-    // seed-to-seed self-overlap (~0.58 at p=0.5), so sharded-vs-single
-    // comparisons use this core to isolate what partitioning costs
-    // (bench_dist_fleet, DESIGN.md §11).
-    CrrOptions options;
-    options.seed = seed;
-    options.steps_override = 0;
-    shedder = std::make_unique<Crr>(options);
   } else if (method == "bm2") {
     Bm2Options options;
     options.seed = seed;
@@ -48,8 +36,7 @@ StatusOr<std::unique_ptr<EdgeShedder>> MakeShedderByName(
 }
 
 std::vector<std::string> KnownShedderNames() {
-  return {"bm2", "crr", "crr-rank", "local-degree", "random",
-          "spanning-forest"};
+  return {"bm2", "crr", "local-degree", "random", "spanning-forest"};
 }
 
 const std::vector<std::string>& ShedderCostLadder() {

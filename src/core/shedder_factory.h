@@ -24,8 +24,8 @@ std::vector<std::string> KnownShedderNames();
 /// Degradation cost ladder, priciest first: crr -> bm2 -> local-degree ->
 /// random. Under load the serving layer steps a request down this ladder
 /// instead of rejecting it (Slim Graph's "cheaper compression profile"
-/// escape hatch). Methods not on the ladder (crr-rank, spanning-forest)
-/// never degrade — they are explicit fidelity/structure choices.
+/// escape hatch). spanning-forest is not on the ladder and never degrades —
+/// it is an explicit structure choice.
 const std::vector<std::string>& ShedderCostLadder();
 
 /// Position of `method` on the cost ladder (0 = priciest), or -1 when the

@@ -1,8 +1,6 @@
 #include "core/shedding.h"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/strings.h"
 
@@ -27,55 +25,6 @@ uint64_t TargetEdgeCount(const graph::Graph& g, double p) {
   // p·|E| < 0.5 down to an empty E' would make every shedder degenerate.
   if (target == 0 && g.NumEdges() > 0) return 1;
   return target;
-}
-
-std::vector<uint64_t> ApportionEdgeBudget(
-    uint64_t target, const std::vector<uint64_t>& shard_edges) {
-  const size_t k = shard_edges.size();
-  std::vector<uint64_t> quotas(k, 0);
-  if (k == 0) return quotas;
-  const uint64_t total =
-      std::accumulate(shard_edges.begin(), shard_edges.end(), uint64_t{0});
-  if (total == 0) return quotas;
-  if (target >= total) return shard_edges;  // keep everything everywhere
-
-  // Largest-remainder apportionment on exact integer arithmetic:
-  // quota_i = floor(target * m_i / total), remainders ranked by the exact
-  // numerator target * m_i mod total. 128-bit products keep this overflow-
-  // free for any graph that fits in memory.
-  std::vector<unsigned __int128> rem(k, 0);
-  uint64_t assigned = 0;
-  for (size_t i = 0; i < k; ++i) {
-    const unsigned __int128 num =
-        static_cast<unsigned __int128>(target) * shard_edges[i];
-    quotas[i] = static_cast<uint64_t>(num / total);
-    rem[i] = num % total;
-    assigned += quotas[i];
-  }
-  // Hand the remaining seats to the largest remainders (ties -> lower
-  // index); a shard already at capacity cannot take a seat.
-  std::vector<size_t> order(k);
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&rem](size_t a, size_t b) { return rem[a] > rem[b]; });
-  for (size_t idx = 0; assigned < target && idx < k; ++idx) {
-    const size_t i = order[idx];
-    if (quotas[i] < shard_edges[i]) {
-      ++quotas[i];
-      ++assigned;
-    }
-  }
-  // Floor quotas never exceed capacity, and remainder seats check it, so the
-  // only way to still be short is pathological (target < total but every
-  // shard saturated) — impossible; a plain top-up pass keeps the invariant
-  // airtight anyway.
-  for (size_t i = 0; assigned < target && i < k; ++i) {
-    const uint64_t room = shard_edges[i] - quotas[i];
-    const uint64_t take = std::min<uint64_t>(room, target - assigned);
-    quotas[i] += take;
-    assigned += take;
-  }
-  return quotas;
 }
 
 }  // namespace edgeshed::core

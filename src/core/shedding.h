@@ -119,16 +119,6 @@ Status ValidatePreservationRatio(double p);
 /// rounds down to an empty reduced edge set.
 uint64_t TargetEdgeCount(const graph::Graph& g, double p);
 
-/// Splits a global kept-edge budget across shards proportionally to shard
-/// size (largest-remainder apportionment), for partition-aware shedding:
-/// shard i with `shard_edges[i]` edges receives a target t_i such that
-///   sum(t_i) == min(target, sum(shard_edges))   and   t_i <= shard_edges[i].
-/// Quotas over a shard's capacity are redistributed to shards that still
-/// have room, so the global budget is met exactly whenever it is feasible.
-/// Deterministic: remainder ties break toward the lower shard index.
-std::vector<uint64_t> ApportionEdgeBudget(
-    uint64_t target, const std::vector<uint64_t>& shard_edges);
-
 }  // namespace edgeshed::core
 
 #endif  // EDGESHED_CORE_SHEDDING_H_

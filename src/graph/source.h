@@ -83,7 +83,7 @@ StatusOr<GraphFormat> DetectGraphFormat(const std::string& path);
 
 /// Unified entry point for every on-disk graph representation: text edge
 /// lists and CSR snapshots (copy or mmap). This is the
-/// API the CLI, GraphStore, and the dist fleet all load through.
+/// API the CLI and GraphStore load through.
 StatusOr<LoadedGraph> LoadGraph(const GraphSource& source,
                                 const IngestOptions& options = {});
 

@@ -584,8 +584,8 @@ std::string RpcServer::HandleShed(std::string_view payload, double pressure) {
       return EncodeFrame(
           MessageType::kShedResponse,
           EncodeResponsePayload(Status::InvalidArgument(
-              "this server has no output directory (start it with "
-              "--shard_dir to accept output snapshots)")));
+              "this server has no output directory "
+              "(RpcServerOptions::output_dir is empty)")));
     }
     if (!service::IsSafeDatasetName(request.output)) {
       return EncodeFrame(

@@ -188,8 +188,6 @@ struct ShedRequest {
   /// output directory (RpcServerOptions::output_dir) once the job finishes.
   /// A bare name, not a path — servers reject separators and dot-prefixes,
   /// and servers without an output directory reject the request outright.
-  /// This is how the shed-fleet coordinator gets per-shard kept subgraphs
-  /// back through the shared filesystem (DESIGN.md §11).
   std::string output;
   /// Tenant name for fair-share scheduling ("" = the default tenant, which
   /// preserves the single-FIFO semantics) and the priority lane flag

@@ -1,10 +1,8 @@
 #include "service/dataset_registry.h"
 
-#include <optional>
 #include <utility>
 
-#include "graph/binary_io.h"
-#include "graph/edge_list_io.h"
+#include "graph/source.h"
 
 namespace edgeshed::service {
 
@@ -45,24 +43,6 @@ bool IsSafeDatasetName(const std::string& name) {
     if (!ok) return false;
   }
   return true;
-}
-
-void InstallShardDirFallback(GraphStore& store, const std::string& dir,
-                             bool mmap) {
-  store.SetFallbackLoaderFactory(
-      [dir, mmap](const std::string& name)
-          -> std::optional<GraphStore::Loader> {
-        if (!IsSafeDatasetName(name)) return std::nullopt;
-        std::string path = dir + "/" + name + ".esg";
-        return GraphStore::Loader(
-            [path = std::move(path), mmap]() -> StatusOr<graph::Graph> {
-              graph::IngestOptions options;
-              options.mmap = mmap;
-              auto loaded = graph::LoadSnapshot(path, options);
-              if (!loaded.ok()) return loaded.status();
-              return std::move(loaded)->graph;
-            });
-      });
 }
 
 }  // namespace edgeshed::service

@@ -26,22 +26,10 @@ Status RegisterEdgeListDataset(GraphStore& store, const std::string& name,
 
 /// True iff `name` is safe to splice into a filesystem path as a single
 /// component: non-empty, only [A-Za-z0-9._-], no leading '.', at most 255
-/// bytes. Shared by every layer that maps wire-supplied dataset/output names
-/// to files (shard-dir fallback loading, Shed output snapshots), so a remote
-/// caller can never traverse outside the configured directory.
+/// bytes. The RPC server checks wire-supplied Shed output names with it
+/// before splicing them under RpcServerOptions::output_dir, so a remote
+/// caller can never traverse outside that directory.
 bool IsSafeDatasetName(const std::string& name);
-
-/// Installs a GraphStore fallback (SetFallbackLoaderFactory) that resolves
-/// any safe, not-yet-registered dataset name to the binary snapshot
-/// `<dir>/<name>.esg` (any snapshot version; v3 is memory-mapped and
-/// served zero-copy when `mmap` is set), loaded lazily on first Get. Files
-/// may appear after the worker starts — the shed-fleet coordinator writes
-/// shard snapshots into `dir` and then submits jobs naming them (DESIGN.md
-/// §11). Unsafe names are declined (the Get reports NotFound); a safe name
-/// whose file is missing or corrupt fails that Get with the loader's
-/// IOError/DataLoss.
-void InstallShardDirFallback(GraphStore& store, const std::string& dir,
-                             bool mmap = true);
 
 }  // namespace edgeshed::service
 

@@ -72,26 +72,10 @@ uint64_t GraphStore::Generation(const std::string& name) const {
   return it == entries_.end() ? 0 : it->second.generation;
 }
 
-void GraphStore::SetFallbackLoaderFactory(LoaderFactory factory) {
-  std::lock_guard<std::mutex> lock(mu_);
-  fallback_factory_ = std::move(factory);
-}
-
 StatusOr<std::shared_ptr<const graph::Graph>> GraphStore::Get(
     const std::string& name, uint64_t* generation) {
   std::unique_lock<std::mutex> lock(mu_);
   auto it = entries_.find(name);
-  if (it == entries_.end() && fallback_factory_ != nullptr &&
-      !name.empty()) {
-    // Unknown name: give the fallback factory one shot at minting a loader
-    // (shard snapshots appear after startup). Successful mints register the
-    // name permanently, so subsequent Gets take the ordinary path.
-    if (std::optional<Loader> minted = fallback_factory_(name);
-        minted.has_value() && *minted != nullptr) {
-      it = entries_.try_emplace(name).first;
-      it->second.loader = *std::move(minted);
-    }
-  }
   if (it == entries_.end()) {
     return Status::NotFound(
         StrFormat("dataset '%s' is not registered", name.c_str()));

@@ -8,7 +8,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -94,23 +93,6 @@ class GraphStore {
   /// Monotonic per-dataset version, starting at 1 on registration and
   /// bumped by every Replace. 0 for unregistered names.
   uint64_t Generation(const std::string& name) const;
-
-  /// Maps a not-yet-registered dataset name to a loader, or std::nullopt to
-  /// decline. Called under the store lock, so it must be fast and must not
-  /// call back into the store; the loader it returns runs outside the lock
-  /// like any other.
-  using LoaderFactory =
-      std::function<std::optional<Loader>(const std::string& name)>;
-
-  /// Installs a fallback consulted by Get for unregistered names: when the
-  /// factory yields a loader, the name is registered on the spot and the Get
-  /// proceeds as a normal miss. This is how fleet workers serve shard
-  /// snapshots that did not exist when the process started — the coordinator
-  /// writes `<name>.esg` into a shared directory and names it in a Shed
-  /// request; no pre-registration round trip is needed (DESIGN.md §11).
-  /// Names the factory declines still return NotFound. Pass nullptr to
-  /// uninstall.
-  void SetFallbackLoaderFactory(LoaderFactory factory);
 
   /// Returns the graph for `name`, loading it on a miss. NotFound for
   /// unregistered names; loader failures are returned verbatim to the
@@ -206,7 +188,6 @@ class GraphStore {
 
   mutable std::mutex mu_;
   std::condition_variable load_done_;
-  LoaderFactory fallback_factory_;  // may be null; guarded by mu_
   std::map<std::string, Entry> entries_;
   std::list<std::string> lru_;  // front = most recent
   uint64_t bytes_resident_ = 0;

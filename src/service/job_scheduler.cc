@@ -724,14 +724,12 @@ StatusOr<core::SheddingResult> JobScheduler::Execute(
   StatusOr<core::SheddingResult> result =
       (*shedder)->Shed(**graph, shed_options);
   if (result.ok() && !spec.output_path.empty()) {
-    // Materialize G' and snapshot it for out-of-band consumers (the shed-
-    // fleet coordinator reads per-shard kept subgraphs this way). The write
+    // Materialize G' and snapshot it for out-of-band consumers. The write
     // is part of the job: a caller that asked for a snapshot must not see
     // kDone without one existing on disk.
     Stopwatch write_watch;
     graph::Graph reduced = result->BuildReducedGraph(**graph);
-    // v3 (mmap-ready) so the coordinator merging kept shards — and any
-    // later serve of the output — loads it zero-copy.
+    // v3 (mmap-ready) so any later load of the output is zero-copy.
     if (Status saved = graph::SaveBinaryGraph(reduced, spec.output_path,
                                               graph::SnapshotOptions{});
         !saved.ok()) {

@@ -458,7 +458,7 @@ TEST_F(RpcServerTest, ConcurrentClientsAllSucceed) {
 }
 
 // ---------------------------------------------------------------------------
-// Output snapshots (the fleet's return path)
+// Output snapshots (ShedRequest::output)
 
 TEST_F(RpcServerTest, ShedWithOutputWritesTheKeptSnapshot) {
   const std::string out_dir = ::testing::TempDir() + "/rpc_out";
@@ -498,6 +498,8 @@ TEST_F(RpcServerTest, ShedWithOutputNeedsAnOutputDirectory) {
   auto response = client.Shed(request);
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(response.status().message().find("output_dir"), std::string::npos)
+      << response.status().message();
 }
 
 TEST_F(RpcServerTest, ShedWithUnsafeOutputNameIsRejected) {

@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -342,55 +341,6 @@ TEST(GraphStoreTest, SurrogateRegistryNamesMatchCli) {
                                       "livejournal"}));
 }
 
-TEST(GraphStoreTest, FallbackLoaderFactoryResolvesUnregisteredNames) {
-  GraphStore store;
-  int factory_calls = 0;
-  store.SetFallbackLoaderFactory(
-      [&factory_calls](const std::string& name)
-          -> std::optional<GraphStore::Loader> {
-        ++factory_calls;
-        if (name != "lazy") return std::nullopt;
-        return GraphStore::Loader(
-            [] { return StatusOr<graph::Graph>(Clique(5)); });
-      });
-
-  // Declined names still miss.
-  EXPECT_EQ(store.Get("nope").status().code(), StatusCode::kNotFound);
-
-  // Accepted names register on the spot and behave like a normal miss:
-  // loaded once, then served from residency without consulting the factory.
-  auto first = store.Get("lazy");
-  ASSERT_TRUE(first.ok()) << first.status();
-  EXPECT_EQ((*first)->NumNodes(), 5u);
-  const int calls_after_first = factory_calls;
-  auto second = store.Get("lazy");
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(factory_calls, calls_after_first);
-
-  // Uninstalling restores plain NotFound behaviour for new names.
-  store.SetFallbackLoaderFactory(nullptr);
-  EXPECT_EQ(store.Get("other").status().code(), StatusCode::kNotFound);
-}
-
-TEST(GraphStoreTest, ShardDirFallbackServesSnapshotsByName) {
-  const std::string dir = ::testing::TempDir();
-  const graph::Graph g = Clique(6);
-  ASSERT_TRUE(graph::SaveBinaryGraph(g, dir + "/shard_snap.esg").ok());
-
-  GraphStore store;
-  InstallShardDirFallback(store, dir);
-  auto loaded = store.Get("shard_snap");
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ((*loaded)->NumNodes(), g.NumNodes());
-  EXPECT_EQ((*loaded)->NumEdges(), g.NumEdges());
-
-  // Unsafe names never touch the filesystem; a safe name whose snapshot is
-  // absent surfaces the loader's IOError instead of being swallowed.
-  EXPECT_EQ(store.Get("../etc/passwd").status().code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(store.Get("no_such_snap").status().code(), StatusCode::kIOError);
-}
-
 TEST(GraphStoreTest, ReplaceKeepsMmapBackingAliveForPinnedReaders) {
   // Regression: Replace on an mmap-backed (v3 zero-copy) dataset must keep
   // the old mapping alive until the last pinned reader drops it. The reader
@@ -458,6 +408,8 @@ TEST(JobSchedulerTest, SubmitValidatesSpecs) {
   EXPECT_EQ(scheduler.Submit({"g", "definitely-not-a-method", 0.5})
                 .status()
                 .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(scheduler.Submit({"g", "crr-rank", 0.5}).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(scheduler.Submit({"", "crr", 0.5}).status().code(),
             StatusCode::kInvalidArgument);

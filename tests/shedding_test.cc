@@ -2,10 +2,13 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/random_shedding.h"
+#include "core/shedder_factory.h"
 #include "testing/test_graphs.h"
 
 namespace edgeshed::core {
@@ -120,6 +123,77 @@ TEST(ShedOptionsTest, CancellationFlowsThroughOptions) {
   auto result = shedder.Shed(g, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+}
+
+// ---------------------------------------------------------------------------
+// Shedder factory: one row per name MakeShedderByName accepts.
+
+/// How a method's |E'| relates to round(p·|E|).
+enum class Budget {
+  kExact,
+  // BM2 enforces per-vertex capacities instead; each vertex lands within ~1
+  // of p·deg, so |E'| is within |V|/2 of the target (bm2.h).
+  kNear,
+  // Every vertex nominates ceil(p·deg) edges; the union overshoots.
+  kAtLeast,
+};
+
+struct FactoryCase {
+  const char* name;
+  Budget budget;
+};
+
+constexpr FactoryCase kFactoryCases[] = {
+    {"bm2", Budget::kNear},
+    {"crr", Budget::kExact},
+    {"local-degree", Budget::kAtLeast},
+    {"random", Budget::kExact},
+    {"spanning-forest", Budget::kExact},
+};
+
+TEST(ShedderFactoryTest, TableCoversExactlyTheKnownNames) {
+  std::vector<std::string> table;
+  for (const FactoryCase& c : kFactoryCases) table.emplace_back(c.name);
+  EXPECT_EQ(KnownShedderNames(), table);
+}
+
+TEST(ShedderFactoryTest, EveryKnownNameBuildsAndKeepsTheTarget) {
+  const graph::Graph g = testing::Clique(8);  // 28 edges
+  constexpr double kP = 0.5;
+  const uint64_t target = TargetEdgeCount(g, kP);
+  for (const FactoryCase& c : kFactoryCases) {
+    SCOPED_TRACE(c.name);
+    auto shedder = MakeShedderByName(c.name, /*seed=*/42);
+    ASSERT_TRUE(shedder.ok()) << shedder.status();
+    auto result = (*shedder)->Reduce(g, kP);
+    ASSERT_TRUE(result.ok()) << result.status();
+    const uint64_t kept = result->kept_edges.size();
+    switch (c.budget) {
+      case Budget::kExact:
+        EXPECT_EQ(kept, target);
+        break;
+      case Budget::kNear:
+        EXPECT_NEAR(static_cast<double>(kept), static_cast<double>(target),
+                    static_cast<double>(g.NumNodes()) / 2.0);
+        break;
+      case Budget::kAtLeast:
+        EXPECT_GE(kept, target);
+        break;
+    }
+  }
+}
+
+TEST(ShedderFactoryTest, UnknownNamesListTheKnownOnes) {
+  for (const char* unknown : {"", "crr-rank", "CRR", "bm3"}) {
+    SCOPED_TRACE(unknown);
+    auto shedder = MakeShedderByName(unknown, /*seed=*/42);
+    ASSERT_FALSE(shedder.ok());
+    EXPECT_EQ(shedder.status().code(), StatusCode::kInvalidArgument);
+    for (const std::string& known : KnownShedderNames()) {
+      EXPECT_NE(shedder.status().message().find(known), std::string::npos)
+          << known << " missing from: " << shedder.status().message();
+    }
+  }
 }
 
 }  // namespace

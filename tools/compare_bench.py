@@ -26,7 +26,6 @@ import sys
 
 SCHEMAS = (
     "edgeshed-bench-hotpath-v1",
-    "edgeshed-bench-dist-v1",
     "edgeshed-bench-serving-v1",
     "edgeshed-bench-ingest-v1",
     "edgeshed-bench-dynamic-v1",
@@ -104,8 +103,8 @@ def main():
     for key in sorted(set(base) & set(cand)):
         old = base[key]["median_seconds"]
         new = cand[key]["median_seconds"]
-        # Quality-only series (e.g. the dist bench's self-overlap ceilings)
-        # carry no timing; a zero median on both sides is not a regression.
+        # A series that carries no timing has a zero median on both sides;
+        # that is not a regression.
         ratio = new / old if old > 0 else 1.0 if new == 0 else float("inf")
         if ratio > 1 + args.threshold:
             verdict = f"REGRESSION (+{(ratio - 1) * 100:.1f}%)"

@@ -21,7 +21,6 @@
 //                    [--dispatch_threads=N] [--workers=N] [--queue=K]
 //                    [--scale=S] [--store_budget_mb=M]
 //                    [--edge_list=name=path[,name=path...]]
-//                    [--shard_dir=DIR]
 //                    [--tenants=name:weight[:quota],...] [--degrade]
 //                    [--max_pending=N]
 //                    [--stats_port=P] [--serve_ms=T] [--public]
@@ -35,13 +34,6 @@
 //                    [--seed=42] [--dirty_hops=0] [--decay_half_life=0]
 //                    [--compact_ratio=0.1] [--output=K.txt]
 //                    [--binary_output=G2.esg]
-//   edgeshed coordinate --input=G.txt --shard_dir=DIR
-//                    [--workers=host:port,host:port,...] [--shards=K]
-//                    [--partitioner=hdrf|dbh|hash] [--method=crr] [--p=0.5]
-//                    [--seed=42] [--deadline_ms=T] [--timeout_ms=T]
-//                    [--retries=N] [--poll_ms=T] [--job_tag=NAME]
-//                    [--no_fallback] [--output=R.txt] [--binary_output=R.esg]
-//                    [--stats_port=P] [--linger_ms=T]
 //
 // Every command that takes --input sniffs the file format (SNAP text edge
 // list or "EDGSHED3" snapshot); --format pins it and --mmap=false forces
@@ -79,12 +71,6 @@
 // one ApplyMutations RPC per batch to a running server — the dataset's
 // store generation bumps exactly as if the graph were replaced, so a
 // subsequent remote shed sees the mutated graph.
-//
-// Sharded fleet (src/dist/, DESIGN.md §11): `coordinate` partitions the
-// input across K shards, farms each shard's shed out to the --workers fleet
-// over RPC (workers must run `serve --shard_dir=DIR` on the same shared
-// directory), and merges the kept shards back under the exact global budget.
-// Without --workers every shard sheds locally in-process.
 
 #include <algorithm>
 #include <atomic>
@@ -107,8 +93,6 @@
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "core/shedder_factory.h"
-#include "dist/coordinator.h"
-#include "dist/partitioner.h"
 #include "dyn/incremental_shed.h"
 #include "dyn/versioned_graph.h"
 #include "eval/flags.h"
@@ -135,8 +119,8 @@ namespace {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: edgeshed <reduce|analyze|stats|convert|generate|service> "
-               "[flags]\n"
+               "usage: edgeshed <reduce|analyze|stats|convert|generate|service|"
+               "serve|client|mutate> [flags]\n"
                "  reduce   --input=G.txt --method=crr --p=0.5 "
                "[--output=R.txt] [--binary_output=R.esg] [--seed=42]\n"
                "  analyze  --input=G.txt [--tasks=degree,components,"
@@ -155,7 +139,7 @@ int Usage() {
                "  serve    [--port=0] [--max_connections=64] "
                "[--max_inflight=8] [--dispatch_threads=4] [--workers=N] "
                "[--queue=K] [--scale=1.0] [--store_budget_mb=M] "
-               "[--edge_list=name=path,...] [--shard_dir=DIR] "
+               "[--edge_list=name=path,...] "
                "[--tenants=name:weight[:quota],...] [--degrade] "
                "[--max_pending=N] "
                "[--stats_port=P] [--serve_ms=T] [--public]\n"
@@ -168,14 +152,7 @@ int Usage() {
                "  mutate   --input=G.any --mutations=M.txt [--reshed] "
                "[--p=0.5] [--seed=42] [--dirty_hops=0] "
                "[--decay_half_life=0] [--compact_ratio=0.1] "
-               "[--output=K.txt] [--binary_output=G2.esg]\n"
-               "  coordinate --input=G.txt --shard_dir=DIR "
-               "[--workers=host:port,...] [--shards=2] "
-               "[--partitioner=hdrf|dbh|hash] [--method=crr] [--p=0.5] "
-               "[--seed=42] [--deadline_ms=T] [--timeout_ms=T] [--retries=N] "
-               "[--poll_ms=50] [--job_tag=fleet] [--no_fallback] "
-               "[--output=R.txt] [--binary_output=R.esg] [--stats_port=P] "
-               "[--linger_ms=T]\n");
+               "[--output=K.txt] [--binary_output=G2.esg]\n");
   return 2;
 }
 
@@ -723,14 +700,6 @@ int CmdServe(const eval::Flags& flags) {
     std::cerr << registered << "\n";
     return 1;
   }
-  // Fleet-worker mode: resolve unknown dataset names to shard snapshots in
-  // --shard_dir and allow ShedRequest::output to write kept subgraphs there.
-  const std::string shard_dir = flags.GetString("shard_dir", "");
-  if (!shard_dir.empty()) {
-    service::InstallShardDirFallback(store, shard_dir,
-                                     flags.GetBool("mmap", true));
-  }
-
   service::JobScheduler::Options scheduler_options;
   scheduler_options.workers = static_cast<int>(flags.GetInt("workers", 0));
   scheduler_options.queue_capacity =
@@ -764,7 +733,6 @@ int CmdServe(const eval::Flags& flags) {
   server_options.degrade_enabled = degrade;
   server_options.max_pending =
       static_cast<size_t>(flags.GetInt("max_pending", 0));
-  server_options.output_dir = shard_dir;
   net::RpcServer server(&store, &scheduler, &metrics, server_options,
                         tracer.get());
   if (Status started = server.Start(); !started.ok()) {
@@ -1151,164 +1119,6 @@ int CmdMutate(const eval::Flags& flags) {
   return 0;
 }
 
-int CmdCoordinate(const eval::Flags& flags) {
-  auto input = LoadInput(flags);
-  if (!input.ok()) {
-    std::cerr << input.status() << "\n";
-    return 1;
-  }
-
-  obs::MetricsRegistry metrics;
-  const int64_t stats_port = flags.GetInt("stats_port", -1);
-  const std::string trace_out = flags.GetString("trace_out", "");
-  std::unique_ptr<obs::Tracer> tracer;
-  if (stats_port >= 0 || !trace_out.empty()) {
-    tracer = std::make_unique<obs::Tracer>();
-  }
-
-  dist::CoordinatorOptions options;
-  auto workers = dist::ParseWorkerList(flags.GetString("workers", ""));
-  if (!workers.ok()) {
-    std::cerr << workers.status() << "\n";
-    return Usage();
-  }
-  options.workers = *std::move(workers);
-  auto kind = dist::ParsePartitionerKind(flags.GetString("partitioner",
-                                                         "hdrf"));
-  if (!kind.ok()) {
-    std::cerr << kind.status() << "\n";
-    return Usage();
-  }
-  options.partition.kind = *kind;
-  options.partition.shards = static_cast<int>(flags.GetInt("shards", 2));
-  options.partition.hdrf_lambda = flags.GetDouble("hdrf_lambda", 1.1);
-  options.partition.seed =
-      static_cast<uint64_t>(flags.GetInt("partition_seed", 42));
-  options.method = flags.GetString("method", "crr");
-  options.p = flags.GetDouble("p", 0.5);
-  options.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  options.shard_dir = flags.GetString("shard_dir", "");
-  if (options.shard_dir.empty()) {
-    std::cerr << "--shard_dir is required\n";
-    return Usage();
-  }
-  options.job_tag = flags.GetString("job_tag", "fleet");
-  options.deadline_ms = static_cast<uint64_t>(flags.GetInt("deadline_ms", 0));
-  options.poll_interval = std::chrono::milliseconds(flags.GetInt("poll_ms",
-                                                                 50));
-  options.client.recv_timeout =
-      std::chrono::milliseconds(flags.GetInt("timeout_ms", 600000));
-  options.client.max_attempts =
-      static_cast<int>(flags.GetInt("retries", 3)) + 1;
-  options.local_fallback = !flags.GetBool("no_fallback", false);
-  options.threads = static_cast<int>(flags.GetInt("threads", 0));
-
-  std::unique_ptr<obs::StatsServer> stats_server;
-  if (stats_port >= 0) {
-    obs::StatsServerOptions http_options;
-    http_options.port = static_cast<int>(stats_port);
-    stats_server = std::make_unique<obs::StatsServer>(http_options);
-    stats_server->Handle("/metrics", [&metrics] {
-      return obs::HttpResponse{200, "text/plain; version=0.0.4; charset=utf-8",
-                               obs::PrometheusText(metrics)};
-    });
-    stats_server->Handle("/tracez", [&tracer] {
-      return obs::HttpResponse{200, "application/json; charset=utf-8",
-                               tracer->TraceEventJson()};
-    });
-    stats_server->Handle("/statusz", [&metrics] {
-      return obs::HttpResponse{200, "text/plain; charset=utf-8",
-                               metrics.TextSnapshot()};
-    });
-    if (Status started = stats_server->Start(); !started.ok()) {
-      std::cerr << started << "\n";
-      return 1;
-    }
-    std::printf("stats server on http://127.0.0.1:%d "
-                "(/metrics /tracez /statusz /healthz)\n",
-                stats_server->port());
-    std::fflush(stdout);
-  }
-
-  dist::ShedCoordinator coordinator(options, &metrics, tracer.get());
-  Stopwatch watch;
-  auto result = coordinator.Run(input->graph);
-  if (!result.ok()) {
-    std::cerr << result.status() << "\n";
-    if (stats_server != nullptr) stats_server->Stop();
-    return 1;
-  }
-
-  std::printf("%s x%d over %zu worker(s), method=%s p=%.2f\n",
-              std::string(dist::PartitionerKindToString(
-                              options.partition.kind)).c_str(),
-              options.partition.shards, options.workers.size(),
-              options.method.c_str(), options.p);
-  std::printf("partition: balance=%.4f replication=%.4f cut_vertices=%s\n",
-              result->partition_stats.balance_factor,
-              result->partition_stats.replication_factor,
-              FormatWithCommas(result->partition_stats.cut_vertices).c_str());
-  for (const dist::ShardOutcome& shard : result->shards) {
-    std::printf("shard %d: %-21s edges=%-9s kept=%-9s %.3fs%s%s%s\n",
-                shard.shard, shard.worker.c_str(),
-                FormatWithCommas(shard.shard_edges).c_str(),
-                FormatWithCommas(shard.kept_edges).c_str(), shard.seconds,
-                shard.remote_ok ? " (remote)" : "",
-                shard.fell_back ? " (fell back: " : "",
-                shard.fell_back ? (shard.remote_error + ")").c_str() : "");
-  }
-  std::printf("kept %s / %s edges (target %s) in %.3fs "
-              "(partition %.3fs snapshot %.3fs shed %.3fs merge %.3fs)\n",
-              FormatWithCommas(result->kept_edges.size()).c_str(),
-              FormatWithCommas(input->graph.NumEdges()).c_str(),
-              FormatWithCommas(result->target_edges).c_str(),
-              watch.ElapsedSeconds(), result->partition_seconds,
-              result->snapshot_seconds, result->shed_seconds,
-              result->merge_seconds);
-
-  const std::string output = flags.GetString("output", "");
-  const std::string binary_output = flags.GetString("binary_output", "");
-  if (!output.empty() || !binary_output.empty()) {
-    graph::Graph reduced = result->BuildReducedGraph(input->graph);
-    if (!output.empty()) {
-      if (Status saved = graph::SaveEdgeList(reduced, output); !saved.ok()) {
-        std::cerr << saved << "\n";
-        return 1;
-      }
-      std::printf("wrote %s\n", output.c_str());
-    }
-    if (!binary_output.empty()) {
-      if (Status saved = graph::SaveBinaryGraph(
-              reduced, binary_output, SnapshotOptionsFromFlags(flags));
-          !saved.ok()) {
-        std::cerr << saved << "\n";
-        return 1;
-      }
-      std::printf("wrote %s\n", binary_output.c_str());
-    }
-  }
-
-  if (!trace_out.empty()) {
-    std::ofstream out(trace_out);
-    if (!out) {
-      std::cerr << "cannot write trace file: " << trace_out << "\n";
-      return 1;
-    }
-    out << tracer->TraceEventJson();
-    std::printf("wrote %s (load at chrome://tracing)\n", trace_out.c_str());
-  }
-
-  const int64_t linger_ms = flags.GetInt("linger_ms", 0);
-  if (linger_ms > 0 && stats_server != nullptr) {
-    std::printf("lingering %lld ms for stats scrapes...\n",
-                static_cast<long long>(linger_ms));
-    std::fflush(stdout);
-    std::this_thread::sleep_for(std::chrono::milliseconds(linger_ms));
-  }
-  if (stats_server != nullptr) stats_server->Stop();
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1324,6 +1134,5 @@ int main(int argc, char** argv) {
   if (command == "serve") return CmdServe(flags);
   if (command == "client") return CmdClient(flags);
   if (command == "mutate") return CmdMutate(flags);
-  if (command == "coordinate") return CmdCoordinate(flags);
   return Usage();
 }
