@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
       variants.push_back({"3x rewiring budget (steps = 30P)", v});
     }
     for (const Variant& variant : variants) {
-      auto result = core::Crr(variant.options).Reduce(g, p);
+      auto result = core::Crr(variant.options).Shed(g, {.p = p});
       EDGESHED_CHECK(result.ok());
       table.AddRow({variant.name, FormatDouble(result->average_delta, 4),
                     FormatDouble(evaluate(*result), 3),
@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
       variants.push_back({"exclude zero-gain candidates", v});
     }
     for (const Variant& variant : variants) {
-      auto result = core::Bm2(variant.options).Reduce(g, p);
+      auto result = core::Bm2(variant.options).Shed(g, {.p = p});
       EDGESHED_CHECK(result.ok());
       table.AddRow({variant.name, FormatDouble(result->average_delta, 4),
                     FormatDouble(evaluate(*result), 3),
@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
       }
       core::CrrOptions crr_options;
       crr_options.betweenness = options;
-      auto result = core::Crr(crr_options).Reduce(g, p);
+      auto result = core::Crr(crr_options).Shed(g, {.p = p});
       EDGESHED_CHECK(result.ok());
       table.AddRow({label,
                     FormatDouble(static_cast<double>(hits) /

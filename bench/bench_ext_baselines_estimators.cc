@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
                      "degree KS", "time (s)"});
     Histogram original_degrees = analytics::DegreeDistribution(g);
     for (const core::EdgeShedder* shedder : shedders) {
-      auto result = shedder->Reduce(g, 0.3);
+      auto result = shedder->Shed(g, {.p = 0.3});
       EDGESHED_CHECK(result.ok());
       graph::Graph reduced = result->BuildReducedGraph(g);
       table.AddRow(
@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
     const double true_diameter =
         analytics::ApproximateNeighborhoodFunction(g).EffectiveDiameter();
     for (double p : {0.8, 0.5, 0.3}) {
-      auto result = bench::BenchBm2().Reduce(g, p);
+      auto result = bench::BenchBm2().Shed(g, {.p = p});
       EDGESHED_CHECK(result.ok());
       graph::Graph reduced = result->BuildReducedGraph(g);
       const double est_diameter =

@@ -42,9 +42,9 @@ int main(int argc, char** argv) {
       for (const graph::Edge& e : arrivals) shedder.AddEdge(e.u, e.v);
       return shedder.AverageDelta();
     };
-    auto crr_result = crr.Reduce(g, p);
-    auto bm2_result = bm2.Reduce(g, p);
-    auto random_result = random_shedding.Reduce(g, p);
+    auto crr_result = crr.Shed(g, {.p = p});
+    auto bm2_result = bm2.Shed(g, {.p = p});
+    auto random_result = random_shedding.Shed(g, {.p = p});
     EDGESHED_CHECK(crr_result.ok());
     EDGESHED_CHECK(bm2_result.ok());
     EDGESHED_CHECK(random_result.ok());

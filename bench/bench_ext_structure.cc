@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
        {static_cast<const core::EdgeShedder*>(&crr),
         static_cast<const core::EdgeShedder*>(&bm2),
         static_cast<const core::EdgeShedder*>(&random_shedding)}) {
-    auto result = shedder->Reduce(g, p);
+    auto result = shedder->Shed(g, {.p = p});
     EDGESHED_CHECK(result.ok());
     graph::Graph reduced = result->BuildReducedGraph(g);
     const auto eigen = analytics::EigenvectorCentrality(reduced);

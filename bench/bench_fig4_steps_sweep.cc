@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
       options.steps_multiplier = static_cast<double>(x);
       core::Crr crr(options);
       Stopwatch watch;
-      auto result = crr.Reduce(g, p);
+      auto result = crr.Shed(g, {.p = p});
       EDGESHED_CHECK(result.ok()) << result.status().ToString();
       table.AddRow({std::to_string(x),
                     FormatWithCommas(crr.StepsFor(g, p)),

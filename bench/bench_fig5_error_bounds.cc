@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
   table.SetHeader({"p", "CRR avg delta", "Thm-1 bound", "BM2 avg delta",
                    "Thm-2 bound"});
   for (double p : eval::PaperPreservationRatios()) {
-    auto crr_result = crr.Reduce(g, p);
-    auto bm2_result = bm2.Reduce(g, p);
+    auto crr_result = crr.Shed(g, {.p = p});
+    auto bm2_result = bm2.Shed(g, {.p = p});
     EDGESHED_CHECK(crr_result.ok());
     EDGESHED_CHECK(bm2_result.ok());
     table.AddRow({FormatDouble(p, 1),

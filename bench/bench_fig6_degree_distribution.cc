@@ -57,8 +57,8 @@ int main(int argc, char** argv) {
   core::Bm2 bm2 = bench::BenchBm2();
   baseline::Uds uds = bench::BenchUds(config.full);
   for (double p : {0.5, 0.1}) {
-    auto crr_result = crr.Reduce(g, p);
-    auto bm2_result = bm2.Reduce(g, p);
+    auto crr_result = crr.Shed(g, {.p = p});
+    auto bm2_result = bm2.Shed(g, {.p = p});
     auto uds_result = uds.Summarize(g, p);
     EDGESHED_CHECK(crr_result.ok());
     EDGESHED_CHECK(bm2_result.ok());

@@ -37,8 +37,8 @@ int main(int argc, char** argv) {
     Histogram original = analytics::DistanceProfile(g, task_options.distances);
 
     for (double p : {0.7, 0.3}) {
-      auto crr_result = crr.Reduce(g, p);
-      auto bm2_result = bm2.Reduce(g, p);
+      auto crr_result = crr.Shed(g, {.p = p});
+      auto bm2_result = bm2.Shed(g, {.p = p});
       auto uds_result = uds.Summarize(g, p);
       EDGESHED_CHECK(crr_result.ok());
       EDGESHED_CHECK(bm2_result.ok());

@@ -71,8 +71,8 @@ int main(int argc, char** argv) {
     const auto& spec = graph::GetDatasetSpec(target.id);
     auto original_scores = analytics::Betweenness(g, betweenness).node;
 
-    auto crr_result = crr.Reduce(g, p);
-    auto bm2_result = bm2.Reduce(g, p);
+    auto crr_result = crr.Shed(g, {.p = p});
+    auto bm2_result = bm2.Shed(g, {.p = p});
     auto uds_result = uds.Summarize(g, p);
     EDGESHED_CHECK(crr_result.ok());
     EDGESHED_CHECK(bm2_result.ok());

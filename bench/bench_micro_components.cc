@@ -122,7 +122,7 @@ void BM_Bm2EndToEnd(benchmark::State& state) {
   graph::Graph g = MakeBaGraph(state.range(0));
   core::Bm2 bm2;
   for (auto _ : state) {
-    auto result = bm2.Reduce(g, 0.5);
+    auto result = bm2.Shed(g, {.p = 0.5});
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() *
@@ -137,7 +137,7 @@ void BM_CrrRewiringOnly(benchmark::State& state) {
   options.init_mode = core::CrrOptions::InitMode::kRandom;  // skip Brandes
   core::Crr crr(options);
   for (auto _ : state) {
-    auto result = crr.Reduce(g, 0.5);
+    auto result = crr.Shed(g, {.p = 0.5});
     benchmark::DoNotOptimize(result);
   }
 }

@@ -268,13 +268,13 @@ void BenchGraph(const std::string& name, const graph::Graph& g, int repeats,
   obs::LatencySeries* traced_seconds = metrics.GetLatency("bench.run_seconds");
   TimeOpPair(name, g, "crr_reduce", "crr_reduce_traced", repeats,
              [&]() {
-               auto result = crr.Reduce(g, p);
+               auto result = crr.Shed(g, {.p = p});
                EDGESHED_CHECK(result.ok()) << result.status().ToString();
              },
              [&]() {
                obs::Span span = obs::Tracer::StartSpan(&tracer, "run");
                span.Annotate("graph", name);
-               auto result = crr.Reduce(g, p);
+               auto result = crr.Shed(g, {.p = p});
                EDGESHED_CHECK(result.ok()) << result.status().ToString();
                span.Annotate("ok", "true");
                span.End();
@@ -293,7 +293,7 @@ void BenchGraph(const std::string& name, const graph::Graph& g, int repeats,
   std::vector<graph::EdgeId> fast_kept;
   TimeOp(name, g, "crr_reduce_e2e", repeats,
          [&]() {
-           auto result = crr_e2e.Reduce(g, p);
+           auto result = crr_e2e.Shed(g, {.p = p});
            EDGESHED_CHECK(result.ok()) << result.status().ToString();
            fast_kept = std::move(result->kept_edges);
          },
@@ -303,7 +303,7 @@ void BenchGraph(const std::string& name, const graph::Graph& g, int repeats,
   const core::Bm2 bm2;
   TimeOp(name, g, "bm2_reduce", repeats,
          [&]() {
-           auto result = bm2.Reduce(g, p);
+           auto result = bm2.Shed(g, {.p = p});
            EDGESHED_CHECK(result.ok()) << result.status().ToString();
          },
          results);
@@ -315,11 +315,11 @@ void BenchGraph(const std::string& name, const graph::Graph& g, int repeats,
   core::CrrOptions reference_options;
   reference_options.seed = 42;
   reference_options.betweenness = classic;
-  auto reference = core::Crr(reference_options).Reduce(g, p);
+  auto reference = core::Crr(reference_options).Shed(g, {.p = p});
   EDGESHED_CHECK(reference.ok()) << reference.status().ToString();
   core::CrrOptions reseeded_options = reference_options;
   reseeded_options.seed = 43;
-  auto reseeded = core::Crr(reseeded_options).Reduce(g, p);
+  auto reseeded = core::Crr(reseeded_options).Shed(g, {.p = p});
   EDGESHED_CHECK(reseeded.ok()) << reseeded.status().ToString();
   const double ceiling =
       KeptOverlap(reference->kept_edges, reseeded->kept_edges);

@@ -81,8 +81,8 @@ int main(int argc, char** argv) {
     TablePrinter recall_table("recall |L_s ∩ L| / |L|");
     recall_table.SetHeader({"p", "UDS", "CRR", "BM2"});
     for (double p : eval::PaperPreservationRatios()) {
-      auto crr_result = crr.Reduce(g, p);
-      auto bm2_result = bm2.Reduce(g, p);
+      auto crr_result = crr.Shed(g, {.p = p});
+      auto bm2_result = bm2.Shed(g, {.p = p});
       auto uds_result = uds.Summarize(g, p);
       EDGESHED_CHECK(crr_result.ok());
       EDGESHED_CHECK(bm2_result.ok());

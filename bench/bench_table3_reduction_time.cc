@@ -49,8 +49,8 @@ int main(int argc, char** argv) {
         EDGESHED_CHECK(summary.ok());
         uds_cell = bench::Seconds(summary->reduction_seconds);
       }
-      auto crr_result = crr.Reduce(g, p);
-      auto bm2_result = bm2.Reduce(g, p);
+      auto crr_result = crr.Shed(g, {.p = p});
+      auto bm2_result = bm2.Shed(g, {.p = p});
       EDGESHED_CHECK(crr_result.ok());
       EDGESHED_CHECK(bm2_result.ok());
       table.AddRow({FormatDouble(p, 1), uds_cell,

@@ -37,8 +37,8 @@ int main(int argc, char** argv) {
   core::Bm2 bm2 = bench::BenchBm2();
   baseline::Uds uds = bench::BenchUds(config.full);
   for (double p : ratios) {
-    auto crr_result = crr.Reduce(g, p);
-    auto bm2_result = bm2.Reduce(g, p);
+    auto crr_result = crr.Shed(g, {.p = p});
+    auto bm2_result = bm2.Shed(g, {.p = p});
     EDGESHED_CHECK(crr_result.ok());
     EDGESHED_CHECK(bm2_result.ok());
     reductions[{"CRR", p}] = Reduced{crr_result->BuildReducedGraph(g),

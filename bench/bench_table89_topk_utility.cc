@@ -50,8 +50,8 @@ int main(int argc, char** argv) {
         uds_cell =
             FormatDouble(eval::TopKUtilityForUds(g, *summary, t_percent), 3);
       }
-      auto crr_result = crr.Reduce(g, p);
-      auto bm2_result = bm2.Reduce(g, p);
+      auto crr_result = crr.Shed(g, {.p = p});
+      auto bm2_result = bm2.Shed(g, {.p = p});
       EDGESHED_CHECK(crr_result.ok());
       EDGESHED_CHECK(bm2_result.ok());
       table.AddRow(

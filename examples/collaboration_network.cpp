@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
 
   // Reduce once, reuse for everything after.
   core::Crr crr;
-  auto reduction = crr.Reduce(g, p);
+  auto reduction = crr.Shed(g, {.p = p});
   if (!reduction.ok()) {
     std::fprintf(stderr, "reduction failed: %s\n",
                  reduction.status().ToString().c_str());

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   } else {
     shedder = std::make_unique<core::Bm2>();
   }
-  auto result = shedder->Reduce(g, p);
+  auto result = shedder->Shed(g, {.p = p});
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;

@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
   for (const core::EdgeShedder* shedder :
        {static_cast<const core::EdgeShedder*>(&crr),
         static_cast<const core::EdgeShedder*>(&bm2)}) {
-    auto reduction = shedder->Reduce(noisy, p);
+    auto reduction = shedder->Shed(noisy, {.p = p});
     if (!reduction.ok()) {
       std::fprintf(stderr, "%s\n", reduction.status().ToString().c_str());
       return 1;

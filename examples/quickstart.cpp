@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   for (const core::EdgeShedder* shedder :
        {static_cast<const core::EdgeShedder*>(new core::Crr()),
         static_cast<const core::EdgeShedder*>(new core::Bm2())}) {
-    auto result = shedder->Reduce(g, p);
+    auto result = shedder->Shed(g, {.p = p});
     if (!result.ok()) {
       std::cerr << shedder->name() << ": " << result.status() << "\n";
       return 1;

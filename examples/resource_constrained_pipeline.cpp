@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
 
   core::Bm2 bm2;
   Stopwatch reduce_watch;
-  auto reduction = bm2.Reduce(g, p);
+  auto reduction = bm2.Shed(g, {.p = p});
   if (!reduction.ok()) {
     std::fprintf(stderr, "%s\n", reduction.status().ToString().c_str());
     return 1;

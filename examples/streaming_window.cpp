@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
       // Offline comparison on the same prefix.
       graph::GraphBuilder copy = prefix_builder;  // builder is copyable
       graph::Graph prefix = copy.Build();
-      auto offline = core::RandomShedding(7).Reduce(prefix, p);
+      auto offline = core::RandomShedding(7).Shed(prefix, {.p = p});
       EDGESHED_CHECK(offline.ok());
       std::printf("%12s %10s %10s %16.4f %18.4f\n",
                   FormatWithCommas(shedder.EdgesSeen()).c_str(),

@@ -6,54 +6,38 @@
 
 #include "common/parallel.h"
 #include "common/radix_sort.h"
-#include "common/random.h"
 #include "common/stopwatch.h"
-#include "core/discrepancy.h"
 
 namespace edgeshed::core {
 
 namespace {
 
-/// Phase-2 working entry: an edge id with its endpoints cached flat, so each
-/// swap attempt touches one 16-byte record instead of chasing the id into
-/// the graph's edge array (a guaranteed cache miss per draw on big graphs).
-struct CachedEdge {
-  graph::EdgeId id;
-  graph::NodeId u;
-  graph::NodeId v;
-};
-
-std::vector<CachedEdge> CacheEndpoints(const graph::Graph& g,
-                                       const graph::EdgeId* ids,
-                                       uint64_t count) {
-  std::vector<CachedEdge> cached(count);
-  ParallelFor(0, count, [&](uint64_t begin, uint64_t end) {
+std::vector<CrrSlot> CacheEndpoints(const graph::Graph& g,
+                                    const std::vector<graph::EdgeId>& ids) {
+  std::vector<CrrSlot> slots(ids.size());
+  ParallelFor(0, ids.size(), [&](uint64_t begin, uint64_t end) {
     for (uint64_t i = begin; i < end; ++i) {
-      const graph::Edge& e = g.edge(ids[i]);
-      cached[i] = CachedEdge{ids[i], e.u, e.v};
+      slots[i] = CrrSlot{ids[i], g.edge(ids[i])};
     }
   });
-  return cached;
+  return slots;
 }
 
 }  // namespace
 
-uint64_t Crr::StepsFor(const graph::Graph& g, double p) const {
+uint64_t Crr::StepsFor(uint64_t num_edges, double p) const {
   if (options_.steps_override.has_value()) return *options_.steps_override;
-  const double kP = p * static_cast<double>(g.NumEdges());
+  const double kP = p * static_cast<double>(num_edges);
   const double steps = options_.steps_multiplier * kP;
   return steps <= 0.0 ? 0 : static_cast<uint64_t>(std::llround(steps));
 }
 
-StatusOr<SheddingResult> Crr::Shed(const graph::Graph& g,
-                                   const ShedOptions& shed_options) const {
+StatusOr<CrrRun> Crr::Run(const graph::Graph& g,
+                          const ShedOptions& shed_options) const {
   const double p = shed_options.p;
   const CancellationToken* cancel = shed_options.cancel;
   EDGESHED_RETURN_IF_ERROR(ValidatePreservationRatio(p));
-  Stopwatch total_watch;
-  SheddingResult result;
   const uint64_t num_edges = g.NumEdges();
-  const uint64_t target = TargetEdgeCount(g, p);
   Rng rng(shed_options.seed.value_or(options_.seed));
 
   // ---- Phase 1: rank edges and keep the top round(p|E|). ----
@@ -84,66 +68,47 @@ StatusOr<SheddingResult> Crr::Shed(const graph::Graph& g,
     rng.Shuffle(&ranked);
   }
   if (CancellationRequested(cancel)) return cancel->ToStatus();
-  std::vector<CachedEdge> kept = CacheEndpoints(g, ranked.data(), target);
-  std::vector<CachedEdge> excluded =
-      CacheEndpoints(g, ranked.data() + target, num_edges - target);
-  const double phase1_seconds = phase1_watch.ElapsedSeconds();
-
-  DegreeDiscrepancy discrepancy(g, p);
-  for (const CachedEdge& e : kept) {
-    discrepancy.AddEdge(e.u, e.v);
+  CrrRun run{CacheEndpoints(g, ranked), TargetEdgeCount(num_edges, p),
+             DegreeDiscrepancy(g, p)};
+  run.phase1_seconds = phase1_watch.ElapsedSeconds();
+  run.betweenness_seconds = betweenness_seconds;
+  for (uint64_t i = 0; i < run.target; ++i) {
+    run.discrepancy.AddEdge(run.slots[i].u(), run.slots[i].v());
   }
 
   // ---- Phase 2: random swap attempts between E' and E \ E'. ----
   Stopwatch phase2_watch;
-  const uint64_t steps = StepsFor(g, p);
-  uint64_t accepted = 0;
-  // Poll the token once per 4096 swap attempts: a single predictable branch
-  // amortized over thousands of draws, so the loop stays branch-cheap and
-  // the swap sequence is bit-identical whenever the token never trips.
-  constexpr uint64_t kCancelCheckMask = 4096 - 1;
-  if (!kept.empty() && !excluded.empty()) {
-    for (uint64_t step = 0; step < steps; ++step) {
-      if ((step & kCancelCheckMask) == 0 && CancellationRequested(cancel)) {
-        return cancel->ToStatus();
-      }
-      const size_t kept_index = rng.UniformIndex(kept.size());
-      const size_t excluded_index = rng.UniformIndex(excluded.size());
-      const CachedEdge removal = kept[kept_index];
-      const CachedEdge addition = excluded[excluded_index];
+  run.steps = StepsFor(num_edges, p);
+  EDGESHED_ASSIGN_OR_RETURN(
+      run.swaps_accepted,
+      RunSwapChain(&run.slots, run.target, run.steps, &rng,
+                   options_.accept_zero_delta_swaps, &run.discrepancy, cancel,
+                   [](CrrSlot& kept, CrrSlot& excluded) {
+                     std::swap(kept, excluded);
+                   }));
+  run.phase2_seconds = phase2_watch.ElapsedSeconds();
+  return run;
+}
 
-      // d1, d2 exactly as Algorithm 1 lines 10-11: both evaluated against
-      // the current state. (When the two edges share an endpoint the true
-      // combined change can differ; the paper's acceptance test — which we
-      // follow — ignores that interaction, while our Δ bookkeeping below
-      // applies the two operations sequentially and stays exact.)
-      const double d1 = discrepancy.RemovalDelta(removal.u, removal.v);
-      const double d2 = discrepancy.AdditionDelta(addition.u, addition.v);
-      const double combined = d1 + d2;
-      const bool accept = options_.accept_zero_delta_swaps
-                              ? combined <= 0.0
-                              : combined < 0.0;
-      if (!accept) continue;
-      discrepancy.RemoveEdge(removal.u, removal.v);
-      discrepancy.AddEdge(addition.u, addition.v);
-      std::swap(kept[kept_index], excluded[excluded_index]);
-      ++accepted;
-    }
+StatusOr<SheddingResult> Crr::Shed(const graph::Graph& g,
+                                   const ShedOptions& shed_options) const {
+  Stopwatch total_watch;
+  EDGESHED_ASSIGN_OR_RETURN(CrrRun run, Run(g, shed_options));
+  SheddingResult result;
+  result.kept_edges.resize(run.target);
+  for (uint64_t i = 0; i < run.target; ++i) {
+    result.kept_edges[i] = run.slots[i].id;
   }
-  const double phase2_seconds = phase2_watch.ElapsedSeconds();
-
-  result.kept_edges.resize(kept.size());
-  for (size_t i = 0; i < kept.size(); ++i) result.kept_edges[i] = kept[i].id;
   RadixSortWords(&result.kept_edges);
-  result.total_delta = discrepancy.TotalDelta();
-  result.average_delta = discrepancy.AverageDelta();
+  result.total_delta = run.discrepancy.TotalDelta();
+  result.average_delta = run.discrepancy.AverageDelta();
   result.reduction_seconds = total_watch.ElapsedSeconds();
   result.stats = {
-      {"phase1_seconds", phase1_seconds},
-      {"phase2_seconds", phase2_seconds},
-      {"betweenness_seconds", betweenness_seconds},
-      {"steps", static_cast<double>(steps)},
-      {"swaps_accepted", static_cast<double>(accepted)},
+      {"phase1_seconds", run.phase1_seconds},
+      {"phase2_seconds", run.phase2_seconds},
+      {"betweenness_seconds", run.betweenness_seconds},
+      {"steps", static_cast<double>(run.steps)},
+      {"swaps_accepted", static_cast<double>(run.swaps_accepted)},
   };
   return result;
 }

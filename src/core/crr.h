@@ -3,8 +3,12 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "analytics/betweenness.h"
+#include "common/cancellation.h"
+#include "common/random.h"
+#include "core/discrepancy.h"
 #include "core/shedding.h"
 
 namespace edgeshed::core {
@@ -38,6 +42,76 @@ struct CrrOptions {
   uint64_t seed = 42;
 };
 
+/// Phase-2 working entry: an edge id with its endpoints cached flat, so each
+/// swap attempt touches one 16-byte record instead of chasing the id into
+/// the graph's edge array (a guaranteed cache miss per draw on big graphs).
+struct CrrSlot {
+  graph::EdgeId id;
+  graph::Edge edge;
+  graph::NodeId u() const { return edge.u; }
+  graph::NodeId v() const { return edge.v; }
+};
+static_assert(sizeof(CrrSlot) == 16);
+
+/// CRR's working state after Phase 2 (see Crr::Run).
+struct CrrRun {
+  /// Every edge of the graph in Phase-1 rank order, E' in [0, target) and
+  /// E \ E' after it, with each accepted swap applied in place.
+  std::vector<CrrSlot> slots;
+  /// |E'| = TargetEdgeCount(|E|, p).
+  uint64_t target = 0;
+  /// Δ bookkeeping over slots[0, target).
+  DegreeDiscrepancy discrepancy;
+  double phase1_seconds = 0.0;
+  double phase2_seconds = 0.0;
+  double betweenness_seconds = 0.0;
+  uint64_t steps = 0;
+  uint64_t swaps_accepted = 0;
+};
+
+/// Phase 2 of Algorithm 1, the one swap chain behind Crr and
+/// dyn::ShedSession: `steps` attempts, each drawing one slot of the kept
+/// prefix (*slots)[0, target) and one of the excluded rest from `rng`, and
+/// accepting iff d1 + d2 < 0 (<= 0 with `accept_zero_delta`). On accept it
+/// applies both edges to `discrepancy`, then calls on_accept(kept,
+/// excluded), which must trade the two occupants so position keeps meaning
+/// membership. `Slot` exposes endpoints as u() and v(). The token is polled
+/// once per 4096 attempts, so runs are bit-identical with and without one
+/// as long as it never trips. Returns the number of swaps accepted.
+template <typename Slot, typename OnAccept>
+StatusOr<uint64_t> RunSwapChain(std::vector<Slot>* slots, uint64_t target,
+                                uint64_t steps, Rng* rng,
+                                bool accept_zero_delta,
+                                DegreeDiscrepancy* discrepancy,
+                                const CancellationToken* cancel,
+                                OnAccept&& on_accept) {
+  const uint64_t excluded_count = slots->size() - target;
+  if (target == 0 || excluded_count == 0) return uint64_t{0};
+  constexpr uint64_t kCancelCheckMask = 4096 - 1;
+  uint64_t accepted = 0;
+  for (uint64_t step = 0; step < steps; ++step) {
+    if ((step & kCancelCheckMask) == 0 && CancellationRequested(cancel)) {
+      return cancel->ToStatus();
+    }
+    Slot& kept = (*slots)[rng->UniformIndex(target)];
+    Slot& excluded = (*slots)[target + rng->UniformIndex(excluded_count)];
+    // d1, d2 as Algorithm 1 lines 10-11: both against the current state.
+    // When the edges share an endpoint the true combined change can differ;
+    // the paper's test ignores that, while the bookkeeping below applies the
+    // two operations sequentially and stays exact.
+    const double d1 = discrepancy->RemovalDelta(kept.u(), kept.v());
+    const double d2 = discrepancy->AdditionDelta(excluded.u(), excluded.v());
+    const double combined = d1 + d2;
+    const bool accept = accept_zero_delta ? combined <= 0.0 : combined < 0.0;
+    if (!accept) continue;
+    discrepancy->RemoveEdge(kept.u(), kept.v());
+    discrepancy->AddEdge(excluded.u(), excluded.v());
+    on_accept(kept, excluded);
+    ++accepted;
+  }
+  return accepted;
+}
+
 /// Centrality Ranking with Rewiring — Algorithm 1 of the paper.
 ///
 /// Phase 1 keeps the round(p·|E|) edges of highest edge betweenness
@@ -51,15 +125,25 @@ class Crr : public EdgeShedder {
   explicit Crr(CrrOptions options = {}) : options_(options) {}
 
   std::string name() const override { return "crr"; }
-  /// ShedOptions mapping: `seed` overrides CrrOptions::seed; `threads`
-  /// overrides the betweenness estimator's thread count (Phase 2 is
-  /// sequential by construction — the swap chain is a single dependent
-  /// random walk).
+  /// Run() plus the radix sort of the kept prefix into kept_edges.
   StatusOr<SheddingResult> Shed(const graph::Graph& g,
                                 const ShedOptions& options) const override;
 
+  /// Algorithm 1 through Phase 2, returning the working state: the one
+  /// implementation behind Shed() and dyn::ShedSession's cold start, so
+  /// both answer identically by construction. ShedOptions mapping: `seed`
+  /// overrides CrrOptions::seed; `threads` overrides the betweenness
+  /// estimator's thread count (Phase 2 is sequential by construction — the
+  /// swap chain is a single dependent random walk).
+  StatusOr<CrrRun> Run(const graph::Graph& g,
+                       const ShedOptions& options) const;
+
   /// The Phase-2 iteration count CRR will use for this graph and p.
-  uint64_t StepsFor(const graph::Graph& g, double p) const;
+  uint64_t StepsFor(const graph::Graph& g, double p) const {
+    return StepsFor(g.NumEdges(), p);
+  }
+  /// The same count over an edge count.
+  uint64_t StepsFor(uint64_t num_edges, double p) const;
 
  private:
   CrrOptions options_;

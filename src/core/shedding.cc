@@ -18,12 +18,12 @@ Status ValidatePreservationRatio(double p) {
   return Status::OK();
 }
 
-uint64_t TargetEdgeCount(const graph::Graph& g, double p) {
-  const auto target = static_cast<uint64_t>(
-      std::llround(p * static_cast<double>(g.NumEdges())));
+uint64_t TargetEdgeCount(uint64_t num_edges, double p) {
+  const auto target =
+      static_cast<uint64_t>(std::llround(p * static_cast<double>(num_edges)));
   // A valid p on a non-empty graph always keeps at least one edge; rounding
   // p·|E| < 0.5 down to an empty E' would make every shedder degenerate.
-  if (target == 0 && g.NumEdges() > 0) return 1;
+  if (target == 0 && num_edges > 0) return 1;
   return target;
 }
 

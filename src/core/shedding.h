@@ -77,8 +77,8 @@ struct ShedOptions {
   double p = 0.5;
   const CancellationToken* cancel = nullptr;
   int threads = 0;
-  std::optional<uint64_t> seed;
-  RankProvider rank_provider;
+  std::optional<uint64_t> seed{};
+  RankProvider rank_provider{};
 };
 
 /// Interface shared by all graph-reduction methods in this library (CRR,
@@ -96,18 +96,6 @@ class EdgeShedder {
   /// |kept_edges| deterministic given the effective seed.
   virtual StatusOr<SheddingResult> Shed(const graph::Graph& g,
                                         const ShedOptions& options) const = 0;
-
-  /// Positional convenience form, delegating to Shed. Kept so the many
-  /// pre-ShedOptions call sites (`crr.Reduce(g, 0.5)`) stay source-
-  /// compatible.
-  StatusOr<SheddingResult> Reduce(const graph::Graph& g, double p,
-                                  const CancellationToken* cancel = nullptr)
-      const {
-    ShedOptions options;
-    options.p = p;
-    options.cancel = cancel;
-    return Shed(g, options);
-  }
 };
 
 /// Validates a preservation ratio; shared by implementations. NaN and
@@ -117,7 +105,10 @@ Status ValidatePreservationRatio(double p);
 /// round(p * |E|) — the paper's [P], the exact size of E' — clamped to at
 /// least 1 on non-empty graphs so a tiny graph with a small valid p never
 /// rounds down to an empty reduced edge set.
-uint64_t TargetEdgeCount(const graph::Graph& g, double p);
+uint64_t TargetEdgeCount(uint64_t num_edges, double p);
+inline uint64_t TargetEdgeCount(const graph::Graph& g, double p) {
+  return TargetEdgeCount(g.NumEdges(), p);
+}
 
 }  // namespace edgeshed::core
 

@@ -9,27 +9,9 @@
 #include "common/radix_sort.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
+#include "core/crr.h"
 
 namespace edgeshed::dyn {
-namespace {
-
-/// round(p·edges) clamped to [1, edges] on non-empty inputs — the same
-/// target core::TargetEdgeCount computes from a Graph, expressed over a
-/// live-edge count so the incremental path needs no materialized graph.
-uint64_t TargetCount(uint64_t edges, double p) {
-  if (edges == 0) return 0;
-  const auto target = static_cast<uint64_t>(
-      std::llround(p * static_cast<double>(edges)));
-  return std::min(edges, std::max<uint64_t>(1, target));
-}
-
-/// Crr::StepsFor's arithmetic over a live-edge count.
-uint64_t FullSteps(double multiplier, double p, uint64_t edges) {
-  const double steps = multiplier * p * static_cast<double>(edges);
-  return steps <= 0.0 ? 0 : static_cast<uint64_t>(std::llround(steps));
-}
-
-}  // namespace
 
 ShedSession::ShedSession(std::shared_ptr<VersionedGraph> g,
                          DynamicShedOptions options)
@@ -39,44 +21,24 @@ ShedSession::ShedSession(std::shared_ptr<VersionedGraph> g,
   EDGESHED_CHECK(status.ok()) << status.ToString();
 }
 
-uint64_t ShedSession::RefineKeptSet(std::vector<RankedEdge>* order,
-                                    uint64_t target, uint64_t steps,
-                                    uint64_t rng_seed) {
-  const uint64_t excluded_count = order->size() - target;
-  if (target == 0 || excluded_count == 0) return 0;
+StatusOr<uint64_t> ShedSession::RefineKeptSet(uint64_t target,
+                                              uint64_t steps,
+                                              uint64_t rng_seed) {
   Rng rng(rng_seed);
-  uint64_t accepted = 0;
-  for (uint64_t step = 0; step < steps; ++step) {
-    const size_t kept_index = rng.UniformIndex(target);
-    const size_t excluded_index = rng.UniformIndex(excluded_count);
-    RankedEdge& kept_slot = (*order)[kept_index];
-    RankedEdge& excluded_slot = (*order)[target + excluded_index];
-    const RankedEdge removal = kept_slot;
-    const RankedEdge addition = excluded_slot;
-    // d1/d2 acceptance exactly as Crr::Shed Phase 2 (Algorithm 1 lines
-    // 10-11) — the arithmetic must stay byte-for-byte equivalent or the
-    // cold session stops matching core::Crr.
-    const double d1 = disc_->RemovalDelta(removal.u(), removal.v());
-    const double d2 = disc_->AdditionDelta(addition.u(), addition.v());
-    const double combined = d1 + d2;
-    const bool accept = options_.accept_zero_delta_swaps ? combined <= 0.0
-                                                         : combined < 0.0;
-    if (!accept) continue;
-    disc_->RemoveEdge(removal.u(), removal.v());
-    disc_->AddEdge(addition.u(), addition.v());
-    // The two edges trade rank slots along with kept membership: each slot
-    // keeps its eff (and the occupants swap scores), so "kept
-    // set == top-round(p·E) by score" survives into the next incremental
-    // pass. Without this that pass, which rebuilds its kept baseline from
-    // the rank order, would silently undo every refinement swap and
-    // regress total delta to the unrefined rank cut.
-    std::swap(kept_slot.key, excluded_slot.key);
-    kept_keys_.erase(removal.key);
-    kept_keys_.insert(addition.key);
-    std::swap(score_[removal.key], score_[addition.key]);
-    ++accepted;
-  }
-  return accepted;
+  return core::RunSwapChain(
+      &order_, target, steps, &rng, /*accept_zero_delta=*/false, &*disc_,
+      /*cancel=*/nullptr, [this](RankedEdge& kept, RankedEdge& excluded) {
+        // The two edges trade rank slots along with kept membership: each
+        // slot keeps its eff (and the occupants swap scores), so "kept
+        // set == top-round(p·E) by score" survives into the next
+        // incremental pass. Without this that pass, which rebuilds its kept
+        // baseline from the rank order, would silently undo every
+        // refinement swap and regress total delta to the unrefined rank cut.
+        kept_keys_.erase(kept.key);
+        kept_keys_.insert(excluded.key);
+        std::swap(score_[kept.key], score_[excluded.key]);
+        std::swap(kept.key, excluded.key);
+      });
 }
 
 DynamicShedResult ShedSession::BuildResult(uint64_t version) const {
@@ -135,52 +97,40 @@ StatusOr<DynamicShedResult> ShedSession::FullShed(
     EDGESHED_ASSIGN_OR_RETURN(materialized, snap->Materialize());
     g = &materialized;
   }
-  const uint64_t num_edges = g->NumEdges();
 
-  analytics::BetweennessOptions betweenness = options_.betweenness;
-  if (options_.threads > 0) betweenness.threads = options_.threads;
-  double betweenness_seconds = 0.0;
-  std::vector<graph::EdgeId> ranked;
+  core::ShedOptions shed_options{
+      .p = options_.p, .threads = options_.threads, .seed = options_.seed};
   if (options_.rank_provider != nullptr) {
-    StatusOr<core::EdgeRanking> ranking =
-        options_.rank_provider(*g, betweenness, version);
-    if (!ranking.ok()) return ranking.status();
-    if (ranking->ids.size() != num_edges) {
-      return Status::Internal(
-          "rank provider returned a ranking of the wrong size");
-    }
-    ranked = std::move(ranking->ids);
-    betweenness_seconds = ranking->seconds;
-  } else {
-    Stopwatch betweenness_watch;
-    ranked = analytics::EdgesByBetweennessDescending(*g, betweenness);
-    betweenness_seconds = betweenness_watch.ElapsedSeconds();
+    shed_options.rank_provider =
+        [this, version](const graph::Graph& ranked_graph,
+                        const analytics::BetweennessOptions& betweenness) {
+          return options_.rank_provider(ranked_graph, betweenness, version);
+        };
   }
-  const uint64_t target = core::TargetEdgeCount(*g, options_.p);
+  EDGESHED_ASSIGN_OR_RETURN(core::CrrRun run,
+                            core::Crr().Run(*g, shed_options));
 
+  // Adopt the run's slot order as the rank order: slot i scores |E| - i,
+  // whichever edge Phase 2 left in it. The slots are released before the
+  // hash tables grow so the cold start peaks no higher than one |E|-sized
+  // slot array plus the tables.
+  const uint64_t num_edges = run.slots.size();
+  order_.clear();
+  order_.reserve(num_edges);
+  for (uint64_t i = 0; i < num_edges; ++i) {
+    order_.push_back(RankedEdge{static_cast<double>(num_edges - i),
+                                graph::EdgeKey(run.slots[i].edge)});
+  }
+  std::vector<core::CrrSlot>().swap(run.slots);
   score_.clear();
   kept_keys_.clear();
   score_.reserve(num_edges);
-  order_.clear();
-  order_.reserve(num_edges);
-  for (uint64_t i = 0; i < ranked.size(); ++i) {
-    const graph::Edge& e = g->edge(ranked[i]);
-    const uint64_t key = graph::EdgeKey(e);
-    const auto slot_score = static_cast<double>(num_edges - i);
-    score_[key] = slot_score;
-    order_.push_back(RankedEdge{slot_score, key});
-    if (i < target) kept_keys_.insert(key);
+  for (uint64_t i = 0; i < num_edges; ++i) {
+    score_[order_[i].key] = order_[i].eff;
+    if (i < run.target) kept_keys_.insert(order_[i].key);
   }
-  disc_.emplace(*g, options_.p);
-  for (uint64_t i = 0; i < target; ++i) {
-    disc_->AddEdge(order_[i].u(), order_[i].v());
-  }
-
-  const uint64_t steps =
-      FullSteps(options_.steps_multiplier, options_.p, num_edges);
-  const uint64_t accepted =
-      RefineKeptSet(&order_, target, steps, options_.seed);
-  order_target_ = target;
+  disc_.emplace(std::move(run.discrepancy));
+  order_target_ = run.target;
 
   have_state_ = true;
   state_version_ = version;
@@ -189,9 +139,9 @@ StatusOr<DynamicShedResult> ShedSession::FullShed(
   result.full_rank = true;
   result.seconds = watch.ElapsedSeconds();
   result.stats = {
-      {"betweenness_seconds", betweenness_seconds},
-      {"steps", static_cast<double>(steps)},
-      {"swaps_accepted", static_cast<double>(accepted)},
+      {"betweenness_seconds", run.betweenness_seconds},
+      {"steps", static_cast<double>(run.steps)},
+      {"swaps_accepted", static_cast<double>(run.swaps_accepted)},
   };
   return result;
 }
@@ -279,7 +229,7 @@ StatusOr<DynamicShedResult> ShedSession::IncrementalShed(
         static_cast<graph::NodeId>(dirty.size()), local_edges);
     EDGESHED_CHECK(local.ok())
         << "dirty-region subgraph build failed: " << local.status().ToString();
-    analytics::BetweennessOptions betweenness = options_.betweenness;
+    analytics::BetweennessOptions betweenness = core::CrrOptions{}.betweenness;
     if (options_.threads > 0) betweenness.threads = options_.threads;
     // The local pass exists to undercut a full ranking. Exact Brandes
     // sweeps every region vertex, and uniform edge mutations bias the
@@ -348,7 +298,7 @@ StatusOr<DynamicShedResult> ShedSession::IncrementalShed(
       [](const RankedEdge& a, const RankedEdge& b) { return a.eff > b.eff; }));
 
   const uint64_t live = snap->NumEdges();
-  const uint64_t target = TargetCount(live, options_.p);
+  const uint64_t target = core::TargetEdgeCount(live, options_.p);
   std::vector<RankedEdge>& next = merge_scratch_;
   next.resize(live);
   size_t out = 0;
@@ -524,17 +474,14 @@ StatusOr<DynamicShedResult> ShedSession::IncrementalShed(
   const double merge_seconds = stage_watch.ElapsedSeconds();
 
   // O(batch)-bounded swap refinement over the fresh baseline.
-  const uint64_t full_steps =
-      FullSteps(options_.steps_multiplier, options_.p, live);
-  const double batch_budget = options_.steps_multiplier *
-                              options_.incremental_steps_factor *
-                              static_cast<double>(mutation_count);
-  const uint64_t steps = std::min(
-      full_steps, static_cast<uint64_t>(std::llround(batch_budget)));
+  const uint64_t steps =
+      std::min(core::Crr().StepsFor(live, options_.p),
+               kRefineStepsPerMutation * mutation_count);
   const uint64_t rng_seed =
       options_.seed ^ (0x9e3779b97f4a7c15ULL * version);
   stage_watch.Restart();
-  const uint64_t accepted = RefineKeptSet(&order_, target, steps, rng_seed);
+  EDGESHED_ASSIGN_OR_RETURN(const uint64_t accepted,
+                            RefineKeptSet(target, steps, rng_seed));
   const double refine_seconds = stage_watch.ElapsedSeconds();
   order_target_ = target;
 

@@ -33,15 +33,6 @@ struct DynamicShedOptions {
   /// Phase-2 swap seed for the cold full shed. Incremental re-sheds fork a
   /// per-version seed from it so repeated re-sheds don't replay one chain.
   uint64_t seed = 42;
-  analytics::BetweennessOptions betweenness =
-      analytics::BetweennessOptions::FastRanking();
-  double steps_multiplier = 10.0;
-  /// Swap budget of an incremental re-shed, as a multiple of the mutation
-  /// count: steps = min(full-run steps, round(steps_multiplier *
-  /// incremental_steps_factor * mutations)). Keeps refinement O(batch):
-  /// 20 swap attempts per mutation at the defaults, which holds the kept
-  /// set inside the cold self-overlap ceiling (bench_dynamic gates this).
-  double incremental_steps_factor = 2.0;
   /// Dirty-region growth: BFS hops from mutated endpoints on the view.
   /// 0 = the touched endpoints only (DESIGN.md §15 explains the default).
   uint32_t dirty_hops = 0;
@@ -56,8 +47,6 @@ struct DynamicShedOptions {
   double decay_half_life = 0.0;
   /// Worker threads for ranking passes (0 = default).
   int threads = 0;
-  /// Phase-2 acceptance ablation, as CrrOptions::accept_zero_delta_swaps.
-  bool accept_zero_delta_swaps = false;
   /// Optional shared ranking source for full passes; when unset the session
   /// computes EdgesByBetweennessDescending inline.
   VersionedRankProvider rank_provider;
@@ -85,11 +74,12 @@ struct DynamicShedResult {
 
 /// A long-lived re-shedding session over one VersionedGraph (DESIGN.md §15).
 ///
-/// The first Reshed() is a cold CRR run: rank every edge, keep the top
-/// round(p·|E|), refine with the paper's swap chain. It is engineered to be
-/// *bit-identical in kept edges* to core::Crr::Shed on the same graph, seed
-/// and options (same ranking, same rng stream, same acceptance arithmetic),
-/// so a session answers exactly what a from-scratch job would.
+/// The first Reshed() is a cold CRR run: it calls core::Crr::Run, the same
+/// Algorithm 1 implementation behind core::Crr::Shed, and adopts its
+/// post-Phase-2 slot order as the session's rank order. The kept edges and
+/// Δ therefore equal core::Crr::Shed's on the same graph, p and seed by
+/// construction, so a session answers exactly what a from-scratch job
+/// would.
 ///
 /// Subsequent Reshed() calls are incremental: the session pulls the batches
 /// applied since its last version, updates the degree-discrepancy terms in
@@ -101,14 +91,21 @@ struct DynamicShedResult {
 /// event-driven pass (untouched runs between deleted/reassigned slots are
 /// block-copied and their kept membership patched only at the cut — no
 /// comparison sort, no global betweenness), and runs an O(batch)-bounded
-/// swap refinement. When the dirty region exceeds `full_rank_dirty_bound` — or
-/// history was trimmed past the session — it falls back to a full pass.
+/// swap refinement through core::RunSwapChain. When the dirty region
+/// exceeds `full_rank_dirty_bound` — or history was trimmed past the
+/// session — it falls back to a full pass.
 ///
 /// Sessions are deterministic: the same initial graph, batch sequence, and
 /// options yield the same kept set on every run and thread count. Not
 /// thread-safe; callers serialize Reshed() per session.
 class ShedSession {
  public:
+  /// Swap attempts an incremental re-shed spends per mutation (capped at a
+  /// full run's Crr::StepsFor). Keeps refinement O(batch) while holding the
+  /// kept set inside the cold self-overlap ceiling (bench_dynamic gates
+  /// this).
+  static constexpr uint64_t kRefineStepsPerMutation = 20;
+
   ShedSession(std::shared_ptr<VersionedGraph> g, DynamicShedOptions options);
 
   /// Re-sheds against the current version. See class comment.
@@ -139,13 +136,11 @@ class ShedSession {
       const std::vector<graph::MutationBatch>& batches,
       const std::vector<graph::NodeId>& dirty);
 
-  /// Runs `steps` swap attempts over `order` split at `target` (positions
-  /// < target are kept, the rest excluded), mutating disc_ and the slots'
-  /// occupants; returns swaps accepted. An accepted swap trades the two
-  /// edges between their slots — membership and score — while
-  /// each slot keeps its eff, so "kept == top-target by score" survives.
-  uint64_t RefineKeptSet(std::vector<RankedEdge>* order, uint64_t target,
-                         uint64_t steps, uint64_t rng_seed);
+  /// Runs core::RunSwapChain over order_ split at `target` (positions <
+  /// target are kept, the rest excluded), mutating disc_ and the slots'
+  /// occupants; returns swaps accepted.
+  StatusOr<uint64_t> RefineKeptSet(uint64_t target, uint64_t steps,
+                                   uint64_t rng_seed);
 
   DynamicShedResult BuildResult(uint64_t version) const;
 

@@ -754,15 +754,15 @@ StatusOr<core::SheddingResult> JobScheduler::ExecuteIncremental(
   std::shared_ptr<DynSession> slot;
   {
     std::lock_guard<std::mutex> lock(dyn_mu_);
-    std::shared_ptr<DynSession>& entry = dyn_sessions_[StrFormat(
-        "%s|p=%.17g|seed=%llu", spec.dataset.c_str(), spec.p,
-        static_cast<unsigned long long>(spec.seed))];
-    if (entry == nullptr || entry->graph != *dyn_graph) {
-      // First job for this key, or Replace swapped the dataset's dynamic
-      // graph out from under the old session: start fresh.
-      entry = std::make_shared<DynSession>();
-      entry->graph = *dyn_graph;
+    DynDatasetSessions& sessions = dyn_sessions_[spec.dataset];
+    if (sessions.graph != *dyn_graph) {
+      // First crr-inc job on this dataset, or Replace swapped its dynamic
+      // graph: drop every session over the old graph so none pins it.
+      sessions.graph = *dyn_graph;
+      sessions.by_key.clear();
     }
+    std::shared_ptr<DynSession>& entry = sessions.by_key[{spec.p, spec.seed}];
+    if (entry == nullptr) entry = std::make_shared<DynSession>();
     slot = entry;
   }
   std::lock_guard<std::mutex> session_lock(slot->mu);
@@ -784,7 +784,7 @@ StatusOr<core::SheddingResult> JobScheduler::ExecuteIncremental(
             return cache->GetOrCompute(key, version, g, betweenness);
           };
     }
-    slot->session = std::make_unique<dyn::ShedSession>(slot->graph, options);
+    slot->session = std::make_unique<dyn::ShedSession>(*dyn_graph, options);
   }
   auto reshed = slot->session->Reshed();
   if (!reshed.ok()) {

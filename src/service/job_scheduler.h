@@ -13,6 +13,7 @@
 #include <string_view>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -462,16 +463,22 @@ class JobScheduler {
   /// (dataset, p, seed). Sessions are stateful and not thread-safe, so
   /// each carries its own mutex — concurrent crr-inc jobs on the *same*
   /// session serialize (the second answers the version the first left
-  /// behind or newer), while distinct sessions run in parallel. A session
-  /// is discarded when the store hands out a different VersionedGraph for
-  /// its dataset (Replace landed).
+  /// behind or newer), while distinct sessions run in parallel. When the
+  /// store hands out a different VersionedGraph for a dataset (Replace
+  /// landed), every session of that dataset is discarded, so none keeps
+  /// the replaced graph alive.
   struct DynSession {
     std::mutex mu;
-    std::shared_ptr<dyn::VersionedGraph> graph;
     std::unique_ptr<dyn::ShedSession> session;
   };
+  /// One dataset's sessions, all over `graph`, keyed by (p, seed).
+  struct DynDatasetSessions {
+    std::shared_ptr<dyn::VersionedGraph> graph;
+    std::map<std::pair<double, uint64_t>, std::shared_ptr<DynSession>>
+        by_key;
+  };
   std::mutex dyn_mu_;  // guards dyn_sessions_ (never held across Reshed)
-  std::map<std::string, std::shared_ptr<DynSession>> dyn_sessions_;
+  std::map<std::string, DynDatasetSessions> dyn_sessions_;
 
   mutable std::mutex mu_;
   std::condition_variable work_available_;

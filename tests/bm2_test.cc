@@ -16,7 +16,7 @@ using ::edgeshed::testing::PaperExampleGraph;
 
 TEST(Bm2Test, PaperExampleEndToEnd) {
   auto g = PaperExampleGraph();
-  auto result = Bm2().Reduce(g, 0.4);
+  auto result = Bm2().Shed(g, {.p = 0.4});
   ASSERT_TRUE(result.ok());
   // Phase 1 (greedy over canonical edge order) matches (u7,u9) and (u8,u9);
   // Phase 2 then adds two u7-leaf edges, exactly as the Example-2 dynamics
@@ -35,8 +35,8 @@ TEST(Bm2Test, PaperExampleEndToEnd) {
 
 TEST(Bm2Test, RejectsInvalidP) {
   auto g = PaperExampleGraph();
-  EXPECT_FALSE(Bm2().Reduce(g, 0.0).ok());
-  EXPECT_FALSE(Bm2().Reduce(g, 1.0).ok());
+  EXPECT_FALSE(Bm2().Shed(g, {.p = 0.0}).ok());
+  EXPECT_FALSE(Bm2().Shed(g, {.p = 1.0}).ok());
 }
 
 TEST(Bm2Test, CapacitiesRounding) {
@@ -50,7 +50,7 @@ TEST(Bm2Test, CapacitiesRounding) {
 TEST(Bm2Test, KeptEdgesAreValidAndUnique) {
   Rng rng(61);
   auto g = graph::BarabasiAlbert(400, 4, rng);
-  auto result = Bm2().Reduce(g, 0.6);
+  auto result = Bm2().Shed(g, {.p = 0.6});
   ASSERT_TRUE(result.ok());
   std::set<graph::EdgeId> unique(result->kept_edges.begin(),
                                  result->kept_edges.end());
@@ -61,7 +61,7 @@ TEST(Bm2Test, KeptEdgesAreValidAndUnique) {
 TEST(Bm2Test, ReportedDeltaMatchesRecomputation) {
   Rng rng(62);
   auto g = graph::ErdosRenyi(300, 900, rng);
-  auto result = Bm2().Reduce(g, 0.5);
+  auto result = Bm2().Shed(g, {.p = 0.5});
   ASSERT_TRUE(result.ok());
   DegreeDiscrepancy d(g, 0.5);
   for (graph::EdgeId e : result->kept_edges) {
@@ -74,7 +74,7 @@ TEST(Bm2Test, SatisfiesTheoremTwoBound) {
   Rng rng(63);
   for (double p : {0.1, 0.3, 0.5, 0.7, 0.9}) {
     auto g = graph::BarabasiAlbert(300, 4, rng);
-    auto result = Bm2().Reduce(g, p);
+    auto result = Bm2().Shed(g, {.p = p});
     ASSERT_TRUE(result.ok());
     EXPECT_LT(result->average_delta, Bm2AverageDeltaBound(g, p))
         << "p = " << p;
@@ -87,8 +87,8 @@ TEST(Bm2Test, Phase2ImprovesOrMatchesPhase1Delta) {
   for (double p : {0.2, 0.5, 0.8}) {
     Bm2Options phase1_only;
     phase1_only.run_phase2 = false;
-    auto without = Bm2(phase1_only).Reduce(g, p);
-    auto with = Bm2().Reduce(g, p);
+    auto without = Bm2(phase1_only).Shed(g, {.p = p});
+    auto with = Bm2().Shed(g, {.p = p});
     ASSERT_TRUE(without.ok());
     ASSERT_TRUE(with.ok());
     EXPECT_LE(with->total_delta, without->total_delta + 1e-9) << "p = " << p;
@@ -100,7 +100,7 @@ TEST(Bm2Test, Phase1RespectsCapacities) {
   auto g = graph::ErdosRenyi(200, 800, rng);
   Bm2Options phase1_only;
   phase1_only.run_phase2 = false;
-  auto result = Bm2(phase1_only).Reduce(g, 0.5);
+  auto result = Bm2(phase1_only).Shed(g, {.p = 0.5});
   ASSERT_TRUE(result.ok());
   auto capacities = Bm2::Capacities(g, 0.5);
   std::vector<uint32_t> load(g.NumNodes(), 0);
@@ -118,7 +118,7 @@ TEST(Bm2Test, Phase2OvershootsByLessThanOnePerNode) {
   // than 0.5 below (B side); afterwards no node exceeds expected + 1.
   Rng rng(66);
   auto g = graph::BarabasiAlbert(300, 5, rng);
-  auto result = Bm2().Reduce(g, 0.5);
+  auto result = Bm2().Shed(g, {.p = 0.5});
   ASSERT_TRUE(result.ok());
   std::vector<uint32_t> load(g.NumNodes(), 0);
   for (graph::EdgeId e : result->kept_edges) {
@@ -137,7 +137,7 @@ TEST(Bm2Test, EdgeCountTracksExpectedTotal) {
   Rng rng(67);
   auto g = graph::BarabasiAlbert(500, 4, rng);
   for (double p : {0.3, 0.6, 0.9}) {
-    auto result = Bm2().Reduce(g, p);
+    auto result = Bm2().Shed(g, {.p = p});
     ASSERT_TRUE(result.ok());
     const double target = p * static_cast<double>(g.NumEdges());
     EXPECT_NEAR(static_cast<double>(result->kept_edges.size()), target,
@@ -149,8 +149,8 @@ TEST(Bm2Test, EdgeCountTracksExpectedTotal) {
 TEST(Bm2Test, DeterministicInInputOrderMode) {
   Rng rng(68);
   auto g = graph::ErdosRenyi(150, 500, rng);
-  auto a = Bm2().Reduce(g, 0.5);
-  auto b = Bm2().Reduce(g, 0.5);
+  auto a = Bm2().Shed(g, {.p = 0.5});
+  auto b = Bm2().Shed(g, {.p = 0.5});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->kept_edges, b->kept_edges);
@@ -162,14 +162,14 @@ TEST(Bm2Test, ShuffledOrderIsValid) {
   Bm2Options options;
   options.edge_order = BMatchingEdgeOrder::kShuffled;
   options.seed = 123;
-  auto result = Bm2(options).Reduce(g, 0.5);
+  auto result = Bm2(options).Shed(g, {.p = 0.5});
   ASSERT_TRUE(result.ok());
   EXPECT_LT(result->average_delta, Bm2AverageDeltaBound(g, 0.5));
 }
 
 TEST(Bm2Test, StatsArePopulated) {
   auto g = PaperExampleGraph();
-  auto result = Bm2().Reduce(g, 0.4);
+  auto result = Bm2().Shed(g, {.p = 0.4});
   ASSERT_TRUE(result.ok());
   double phase1_edges = -1;
   double phase2_edges = -1;
@@ -189,7 +189,7 @@ TEST(Bm2Test, IsolatedVerticesAreHandled) {
   // Graph with isolated vertices: they have expected degree 0 and must
   // simply stay isolated.
   auto g = edgeshed::testing::MustBuild(6, {{0, 1}, {1, 2}, {2, 0}});
-  auto result = Bm2().Reduce(g, 0.5);
+  auto result = Bm2().Shed(g, {.p = 0.5});
   ASSERT_TRUE(result.ok());
   for (graph::EdgeId e : result->kept_edges) {
     EXPECT_LT(g.edge(e).u, 3u);

@@ -88,17 +88,20 @@ TEST(KernelCancellationTest, PreCancelledTokenAbortsEveryShedder) {
   CancellationToken token;
   token.Cancel();
 
-  EXPECT_EQ(core::Crr().Reduce(g, 0.5, &token).status().code(),
+  EXPECT_EQ(core::Crr().Shed(g, {.p = 0.5, .cancel = &token}).status().code(),
             StatusCode::kCancelled);
-  EXPECT_EQ(core::Bm2().Reduce(g, 0.5, &token).status().code(),
+  EXPECT_EQ(core::Bm2().Shed(g, {.p = 0.5, .cancel = &token}).status().code(),
             StatusCode::kCancelled);
-  EXPECT_EQ(core::RandomShedding().Reduce(g, 0.5, &token).status().code(),
-            StatusCode::kCancelled);
-  EXPECT_EQ(core::LocalDegreeShedding().Reduce(g, 0.5, &token)
+  EXPECT_EQ(core::RandomShedding()
+                .Shed(g, {.p = 0.5, .cancel = &token})
                 .status()
                 .code(),
             StatusCode::kCancelled);
-  EXPECT_EQ(core::SpanningForestShedding().Reduce(g, 0.5, &token)
+  EXPECT_EQ(core::LocalDegreeShedding().Shed(g, {.p = 0.5, .cancel = &token})
+                .status()
+                .code(),
+            StatusCode::kCancelled);
+  EXPECT_EQ(core::SpanningForestShedding().Shed(g, {.p = 0.5, .cancel = &token})
                 .status()
                 .code(),
             StatusCode::kCancelled);
@@ -109,7 +112,7 @@ TEST(KernelCancellationTest, PreCancelledTokenAbortsEveryShedder) {
 TEST(KernelCancellationTest, ExpiredDeadlineSurfacesAsDeadlineExceeded) {
   const graph::Graph g = SmallTestGraph();
   CancellationToken token(Clock::now() - std::chrono::milliseconds(1));
-  EXPECT_EQ(core::Crr().Reduce(g, 0.5, &token).status().code(),
+  EXPECT_EQ(core::Crr().Shed(g, {.p = 0.5, .cancel = &token}).status().code(),
             StatusCode::kDeadlineExceeded);
   EXPECT_EQ(baseline::Uds().Summarize(g, 0.5, &token).status().code(),
             StatusCode::kDeadlineExceeded);
@@ -129,7 +132,7 @@ TEST(KernelCancellationTest, DeadlineCutsLongCrrRunShort) {
 
   CancellationToken token(Clock::now() + std::chrono::milliseconds(10));
   Stopwatch watch;
-  auto result = crr.Reduce(g, 0.5, &token);
+  auto result = crr.Shed(g, {.p = 0.5, .cancel = &token});
   const double elapsed = watch.ElapsedSeconds();
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_LT(elapsed, 2.0);
@@ -176,12 +179,12 @@ TEST_F(CancellationDeterminismTest, UntrippedTokenIsBitIdenticalAcrossThreads) {
   std::vector<std::vector<graph::EdgeId>> runs;
   for (const char* threads : {"1", "4"}) {
     SetThreads(threads);
-    auto bare = crr.Reduce(g, 0.4);
+    auto bare = crr.Shed(g, {.p = 0.4});
     ASSERT_TRUE(bare.ok()) << bare.status();
     runs.push_back(bare->kept_edges);
 
     CancellationToken token(Clock::now() + std::chrono::hours(24));
-    auto with_token = crr.Reduce(g, 0.4, &token);
+    auto with_token = crr.Shed(g, {.p = 0.4, .cancel = &token});
     ASSERT_TRUE(with_token.ok()) << with_token.status();
     runs.push_back(with_token->kept_edges);
   }

@@ -55,11 +55,11 @@ class SubgraphLawsTest
     StatusOr<core::SheddingResult> result = [&]() {
       switch (method) {
         case Method::kCrr:
-          return core::Crr().Reduce(*graph_, p);
+          return core::Crr().Shed(*graph_, {.p = p});
         case Method::kBm2:
-          return core::Bm2().Reduce(*graph_, p);
+          return core::Bm2().Shed(*graph_, {.p = p});
         default:
-          return core::RandomShedding().Reduce(*graph_, p);
+          return core::RandomShedding().Shed(*graph_, {.p = p});
       }
     }();
     EDGESHED_CHECK(result.ok());

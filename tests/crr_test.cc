@@ -22,7 +22,7 @@ analytics::BetweennessOptions ExactBetweenness() {
 TEST(CrrTest, KeepsExactlyRoundPTimesEdges) {
   auto g = PaperExampleGraph();
   Crr crr;
-  auto result = crr.Reduce(g, 0.4);
+  auto result = crr.Shed(g, {.p = 0.4});
   ASSERT_TRUE(result.ok());
   // [P] = round(0.4 * 11) = 4, as in Example 1.
   EXPECT_EQ(result->kept_edges.size(), 4u);
@@ -38,17 +38,17 @@ TEST(CrrTest, TargetEdgeCountRounding) {
 TEST(CrrTest, RejectsInvalidP) {
   auto g = PaperExampleGraph();
   Crr crr;
-  EXPECT_FALSE(crr.Reduce(g, 0.0).ok());
-  EXPECT_FALSE(crr.Reduce(g, 1.0).ok());
-  EXPECT_FALSE(crr.Reduce(g, -0.3).ok());
-  EXPECT_FALSE(crr.Reduce(g, 1.5).ok());
+  EXPECT_FALSE(crr.Shed(g, {.p = 0.0}).ok());
+  EXPECT_FALSE(crr.Shed(g, {.p = 1.0}).ok());
+  EXPECT_FALSE(crr.Shed(g, {.p = -0.3}).ok());
+  EXPECT_FALSE(crr.Shed(g, {.p = 1.5}).ok());
 }
 
 TEST(CrrTest, KeptEdgesAreValidAndUnique) {
   Rng rng(41);
   auto g = graph::BarabasiAlbert(300, 3, rng);
   Crr crr;
-  auto result = crr.Reduce(g, 0.5);
+  auto result = crr.Shed(g, {.p = 0.5});
   ASSERT_TRUE(result.ok());
   std::set<graph::EdgeId> unique(result->kept_edges.begin(),
                                  result->kept_edges.end());
@@ -60,7 +60,7 @@ TEST(CrrTest, ReportedDeltaMatchesRecomputation) {
   Rng rng(42);
   auto g = graph::ErdosRenyi(200, 600, rng);
   Crr crr;
-  auto result = crr.Reduce(g, 0.3);
+  auto result = crr.Shed(g, {.p = 0.3});
   ASSERT_TRUE(result.ok());
   DegreeDiscrepancy d(g, 0.3);
   for (graph::EdgeId e : result->kept_edges) {
@@ -78,12 +78,12 @@ TEST(CrrTest, RewiringNeverWorsensInitialDelta) {
   CrrOptions no_rewiring;
   no_rewiring.steps_override = 0;
   no_rewiring.betweenness = ExactBetweenness();
-  auto initial = Crr(no_rewiring).Reduce(g, 0.5);
+  auto initial = Crr(no_rewiring).Shed(g, {.p = 0.5});
   ASSERT_TRUE(initial.ok());
 
   CrrOptions with_rewiring;
   with_rewiring.betweenness = ExactBetweenness();
-  auto rewired = Crr(with_rewiring).Reduce(g, 0.5);
+  auto rewired = Crr(with_rewiring).Shed(g, {.p = 0.5});
   ASSERT_TRUE(rewired.ok());
   EXPECT_LE(rewired->total_delta, initial->total_delta);
   EXPECT_EQ(rewired->kept_edges.size(), initial->kept_edges.size());
@@ -98,7 +98,7 @@ TEST(CrrTest, MoreStepsDoNotWorsenDelta) {
     options.steps_override = steps;
     options.betweenness = ExactBetweenness();
     options.seed = 7;  // shared seed: swap sequence is a prefix
-    auto result = Crr(options).Reduce(g, 0.4);
+    auto result = Crr(options).Shed(g, {.p = 0.4});
     ASSERT_TRUE(result.ok());
     EXPECT_LE(result->total_delta, previous + 1e-9);
     previous = result->total_delta;
@@ -110,7 +110,7 @@ TEST(CrrTest, SatisfiesTheoremOneBound) {
   for (double p : {0.1, 0.3, 0.5, 0.7, 0.9}) {
     auto g = graph::BarabasiAlbert(300, 4, rng);
     Crr crr;
-    auto result = crr.Reduce(g, p);
+    auto result = crr.Shed(g, {.p = p});
     ASSERT_TRUE(result.ok());
     EXPECT_LT(result->average_delta, CrrAverageDeltaBound(g, p))
         << "p = " << p;
@@ -135,8 +135,8 @@ TEST(CrrTest, DeterministicGivenSeed) {
   Rng rng(46);
   auto g = graph::ErdosRenyi(150, 450, rng);
   Crr crr;
-  auto a = crr.Reduce(g, 0.5);
-  auto b = crr.Reduce(g, 0.5);
+  auto a = crr.Shed(g, {.p = 0.5});
+  auto b = crr.Shed(g, {.p = 0.5});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->kept_edges, b->kept_edges);
@@ -150,8 +150,8 @@ TEST(CrrTest, DifferentSeedsCanDiffer) {
   o1.seed = 1;
   CrrOptions o2;
   o2.seed = 2;
-  auto a = Crr(o1).Reduce(g, 0.5);
-  auto b = Crr(o2).Reduce(g, 0.5);
+  auto a = Crr(o1).Shed(g, {.p = 0.5});
+  auto b = Crr(o2).Shed(g, {.p = 0.5});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   // Same size always; content typically differs.
@@ -163,7 +163,7 @@ TEST(CrrTest, RandomInitStillMeetsBound) {
   auto g = graph::BarabasiAlbert(300, 3, rng);
   CrrOptions options;
   options.init_mode = CrrOptions::InitMode::kRandom;
-  auto result = Crr(options).Reduce(g, 0.4);
+  auto result = Crr(options).Shed(g, {.p = 0.4});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->kept_edges.size(), TargetEdgeCount(g, 0.4));
   EXPECT_LT(result->average_delta, CrrAverageDeltaBound(g, 0.4));
@@ -182,8 +182,8 @@ TEST(CrrTest, BetweennessInitBeatsRandomInitBeforeRewiring) {
   CrrOptions random_init;
   random_init.steps_override = 0;
   random_init.init_mode = CrrOptions::InitMode::kRandom;
-  auto a = Crr(betweenness_init).Reduce(g, 0.5);
-  auto b = Crr(random_init).Reduce(g, 0.5);
+  auto a = Crr(betweenness_init).Shed(g, {.p = 0.5});
+  auto b = Crr(random_init).Shed(g, {.p = 0.5});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->kept_edges.size(), b->kept_edges.size());
@@ -192,8 +192,8 @@ TEST(CrrTest, BetweennessInitBeatsRandomInitBeforeRewiring) {
 TEST(CrrTest, CrrBeatsRandomSheddingOnDelta) {
   Rng rng(50);
   auto g = graph::BarabasiAlbert(400, 4, rng);
-  auto crr_result = Crr().Reduce(g, 0.5);
-  auto random_result = RandomShedding().Reduce(g, 0.5);
+  auto crr_result = Crr().Shed(g, {.p = 0.5});
+  auto random_result = RandomShedding().Shed(g, {.p = 0.5});
   ASSERT_TRUE(crr_result.ok());
   ASSERT_TRUE(random_result.ok());
   EXPECT_LT(crr_result->total_delta, random_result->total_delta);
@@ -204,14 +204,14 @@ TEST(CrrTest, ZeroDeltaSwapOptionAccepts) {
   auto g = graph::ErdosRenyi(100, 300, rng);
   CrrOptions options;
   options.accept_zero_delta_swaps = true;
-  auto result = Crr(options).Reduce(g, 0.5);
+  auto result = Crr(options).Shed(g, {.p = 0.5});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->kept_edges.size(), TargetEdgeCount(g, 0.5));
 }
 
 TEST(CrrTest, StatsArePopulated) {
   auto g = PaperExampleGraph();
-  auto result = Crr().Reduce(g, 0.4);
+  auto result = Crr().Shed(g, {.p = 0.4});
   ASSERT_TRUE(result.ok());
   bool has_steps = false;
   bool has_accepted = false;
@@ -230,10 +230,10 @@ TEST(CrrTest, StatsArePopulated) {
 TEST(CrrTest, SmallPAndLargePExtremes) {
   Rng rng(52);
   auto g = graph::ErdosRenyi(100, 300, rng);
-  auto low = Crr().Reduce(g, 0.01);
+  auto low = Crr().Shed(g, {.p = 0.01});
   ASSERT_TRUE(low.ok());
   EXPECT_EQ(low->kept_edges.size(), 3u);  // round(0.01 * 300)
-  auto high = Crr().Reduce(g, 0.99);
+  auto high = Crr().Shed(g, {.p = 0.99});
   ASSERT_TRUE(high.ok());
   EXPECT_EQ(high->kept_edges.size(), 297u);
 }

@@ -5,6 +5,8 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -12,6 +14,7 @@
 #include "core/discrepancy.h"
 #include "dyn/incremental_shed.h"
 #include "dyn/versioned_graph.h"
+#include "graph/generators/generators.h"
 #include "graph/mutation_io.h"
 #include "testing/test_graphs.h"
 
@@ -66,15 +69,51 @@ std::vector<Edge> CrrKeptEdges(const graph::Graph& g, double p,
   return kept;  // ids ascending == canonical edge order
 }
 
+double Stat(const std::vector<std::pair<std::string, double>>& stats,
+            const std::string& name) {
+  for (const auto& [key, value] : stats) {
+    if (key == name) return value;
+  }
+  return -1.0;
+}
+
 TEST(DynShedSession, ColdReshedMatchesCrrBitIdentically) {
-  const graph::Graph g = RandomGraph(120, 260, 11);
-  auto vg = std::make_shared<VersionedGraph>(g);
-  ShedSession session(vg, DynamicShedOptions{});
-  auto result = session.Reshed();
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(result->full_rank);
-  EXPECT_EQ(result->version, 0u);
-  EXPECT_EQ(result->kept, CrrKeptEdges(g, 0.5, 42));
+  Rng even_rng(11);
+  const graph::Graph even = graph::BarabasiAlbert(120, 3, even_rng);
+  ASSERT_EQ(even.NumEdges() % 2, 0u);
+  // |E| = 29: at p = 0.35, llround((10·p)·|E|) and llround(10·(p·|E|))
+  // differ, so a cold start that computed its own step count drifts here.
+  Rng odd_rng(130);
+  const graph::Graph ba = graph::BarabasiAlbert(12, 3, odd_rng);
+  const graph::Graph odd = testing::MustBuild(
+      ba.NumNodes(), std::vector<Edge>(ba.edges().begin(),
+                                       ba.edges().end() - 1));
+  ASSERT_EQ(odd.NumEdges(), 29u);
+
+  for (const graph::Graph* g : {&even, &odd}) {
+    for (const double p : {0.15, 0.35, 0.5, 0.85}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "|E|=" << g->NumEdges() << " p=" << p);
+      auto vg = std::make_shared<VersionedGraph>(*g);
+      DynamicShedOptions options;
+      options.p = p;
+      ShedSession session(vg, options);
+      auto result = session.Reshed();
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_TRUE(result->full_rank);
+      EXPECT_EQ(result->version, 0u);
+
+      auto crr = core::Crr().Shed(*g, {.p = p, .seed = 42});
+      ASSERT_TRUE(crr.ok()) << crr.status().ToString();
+      std::vector<Edge> crr_kept;
+      for (const graph::EdgeId id : crr->kept_edges) {
+        crr_kept.push_back(g->edge(id));
+      }
+      EXPECT_EQ(result->kept, crr_kept);
+      EXPECT_EQ(result->total_delta, crr->total_delta);
+      EXPECT_EQ(Stat(result->stats, "steps"), Stat(crr->stats, "steps"));
+    }
+  }
 }
 
 TEST(DynShedSession, ColdReshedOnMutatedOverlayMatchesCrrOnRebuild) {

@@ -329,6 +329,37 @@ TEST(JobSchedulerDynTest, MutationInvalidatesResultCache) {
   EXPECT_FALSE(status->deduplicated);
 }
 
+TEST(JobSchedulerDynTest, ReplaceDropsEverySessionOfTheDataset) {
+  obs::MetricsRegistry metrics;
+  GraphStore store({}, &metrics);
+  RegisterGraph(store, "g", RandomGraph(60, 100, 4));
+  JobScheduler scheduler(&store, &metrics, {.workers = 1});
+  for (const uint64_t seed : {1, 2}) {
+    auto id = scheduler.Submit({"g", "crr-inc", 0.5, seed});
+    ASSERT_TRUE(id.ok()) << id.status();
+    ASSERT_TRUE(scheduler.Wait(*id).ok());
+  }
+  std::weak_ptr<dyn::VersionedGraph> old_graph;
+  {
+    auto dyn = store.DynGraph("g");
+    ASSERT_TRUE(dyn.ok());
+    old_graph = *dyn;
+  }
+  ASSERT_TRUE(store
+                  .Replace("g",
+                           []() -> StatusOr<graph::Graph> {
+                             return RandomGraph(60, 100, 5);
+                           })
+                  .ok());
+
+  // Only seed 1 runs again, yet the seed-2 session must not keep the
+  // replaced graph (its base CSR, history and rank state) alive.
+  auto id = scheduler.Submit({"g", "crr-inc", 0.5, 1});
+  ASSERT_TRUE(id.ok()) << id.status();
+  ASSERT_TRUE(scheduler.Wait(*id).ok());
+  EXPECT_TRUE(old_graph.expired()) << "use_count=" << old_graph.use_count();
+}
+
 TEST(JobSchedulerDynTest, CrrIncIsNotAKnownStaticShedder) {
   // crr-inc dispatches through the scheduler's session path; it must be
   // accepted by Submit but stay off the static-shedder degradation ladder.

@@ -25,7 +25,7 @@ class EstimatorsTest : public ::testing::Test {
     original_ = nullptr;
   }
   static graph::Graph Reduce(double p) {
-    auto result = core::RandomShedding(3).Reduce(*original_, p);
+    auto result = core::RandomShedding(3).Shed(*original_, {.p = p});
     EDGESHED_CHECK(result.ok());
     return result->BuildReducedGraph(*original_);
   }
@@ -97,7 +97,7 @@ TEST_F(EstimatorsTest, SmoothedHistogramSplitsFractionalEstimates) {
   // At p = 0.4 the estimates deg'/p land on multiples of 2.5; plain
   // rounding would leave holes, while mass splitting populates both
   // adjacent integer bins (e.g. 2.5 -> bins 2 and 3).
-  auto crr = core::Crr().Reduce(*original_, 0.4);
+  auto crr = core::Crr().Shed(*original_, {.p = 0.4});
   ASSERT_TRUE(crr.ok());
   graph::Graph reduced = crr->BuildReducedGraph(*original_);
   Histogram smoothed = EstimatedDegreeHistogramSmoothed(reduced, 0.4);

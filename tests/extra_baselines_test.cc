@@ -20,7 +20,7 @@ TEST(LocalDegreeTest, EveryVertexKeepsItsQuota) {
   Rng rng(5);
   auto g = graph::BarabasiAlbert(300, 4, rng);
   const double p = 0.4;
-  auto result = LocalDegreeShedding().Reduce(g, p);
+  auto result = LocalDegreeShedding().Shed(g, {.p = p});
   ASSERT_TRUE(result.ok());
   graph::Graph reduced = result->BuildReducedGraph(g);
   for (graph::NodeId u = 0; u < g.NumNodes(); ++u) {
@@ -35,7 +35,7 @@ TEST(LocalDegreeTest, EveryVertexKeepsItsQuota) {
 TEST(LocalDegreeTest, NoIsolatedVerticesProduced) {
   Rng rng(6);
   auto g = graph::BarabasiAlbert(200, 3, rng);
-  auto result = LocalDegreeShedding().Reduce(g, 0.2);
+  auto result = LocalDegreeShedding().Shed(g, {.p = 0.2});
   ASSERT_TRUE(result.ok());
   graph::Graph reduced = result->BuildReducedGraph(g);
   for (graph::NodeId u = 0; u < g.NumNodes(); ++u) {
@@ -48,7 +48,7 @@ TEST(LocalDegreeTest, NoIsolatedVerticesProduced) {
 TEST(LocalDegreeTest, TypicallyOvershootsTarget) {
   Rng rng(7);
   auto g = graph::BarabasiAlbert(300, 4, rng);
-  auto result = LocalDegreeShedding().Reduce(g, 0.3);
+  auto result = LocalDegreeShedding().Shed(g, {.p = 0.3});
   ASSERT_TRUE(result.ok());
   // Union of per-node nominations exceeds round(p|E|) — documented behavior.
   EXPECT_GE(result->kept_edges.size(), TargetEdgeCount(g, 0.3));
@@ -57,8 +57,8 @@ TEST(LocalDegreeTest, TypicallyOvershootsTarget) {
 TEST(LocalDegreeTest, Deterministic) {
   Rng rng(8);
   auto g = graph::ErdosRenyi(150, 450, rng);
-  auto a = LocalDegreeShedding().Reduce(g, 0.5);
-  auto b = LocalDegreeShedding().Reduce(g, 0.5);
+  auto a = LocalDegreeShedding().Shed(g, {.p = 0.5});
+  auto b = LocalDegreeShedding().Shed(g, {.p = 0.5});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->kept_edges, b->kept_edges);
@@ -66,15 +66,15 @@ TEST(LocalDegreeTest, Deterministic) {
 
 TEST(LocalDegreeTest, RejectsInvalidP) {
   auto g = PaperExampleGraph();
-  EXPECT_FALSE(LocalDegreeShedding().Reduce(g, 0.0).ok());
-  EXPECT_FALSE(LocalDegreeShedding().Reduce(g, 1.2).ok());
+  EXPECT_FALSE(LocalDegreeShedding().Shed(g, {.p = 0.0}).ok());
+  EXPECT_FALSE(LocalDegreeShedding().Shed(g, {.p = 1.2}).ok());
 }
 
 TEST(SpanningForestTest, PreservesConnectivity) {
   Rng rng(9);
   auto g = graph::BarabasiAlbert(400, 3, rng);  // connected by construction
   for (double p : {0.1, 0.3, 0.6}) {
-    auto result = SpanningForestShedding().Reduce(g, p);
+    auto result = SpanningForestShedding().Shed(g, {.p = p});
     ASSERT_TRUE(result.ok());
     graph::Graph reduced = result->BuildReducedGraph(g);
     auto components = analytics::ConnectedComponents(reduced);
@@ -85,7 +85,7 @@ TEST(SpanningForestTest, PreservesConnectivity) {
 TEST(SpanningForestTest, HitsTargetWhenForestFits) {
   Rng rng(10);
   auto g = graph::ErdosRenyi(200, 2000, rng);  // dense: forest << p|E|
-  auto result = SpanningForestShedding().Reduce(g, 0.5);
+  auto result = SpanningForestShedding().Shed(g, {.p = 0.5});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->kept_edges.size(), TargetEdgeCount(g, 0.5));
 }
@@ -93,7 +93,7 @@ TEST(SpanningForestTest, HitsTargetWhenForestFits) {
 TEST(SpanningForestTest, ForestDominatesWhenTargetTooSmall) {
   // Tree input: forest = |E|; any p keeps the whole tree.
   auto g = Star(50);
-  auto result = SpanningForestShedding().Reduce(g, 0.1);
+  auto result = SpanningForestShedding().Shed(g, {.p = 0.1});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->kept_edges.size(), 49u);
 }
@@ -101,7 +101,7 @@ TEST(SpanningForestTest, ForestDominatesWhenTargetTooSmall) {
 TEST(SpanningForestTest, MultiComponentForest) {
   auto g = edgeshed::testing::MustBuild(
       6, {{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}});
-  auto result = SpanningForestShedding().Reduce(g, 0.6);
+  auto result = SpanningForestShedding().Shed(g, {.p = 0.6});
   ASSERT_TRUE(result.ok());
   graph::Graph reduced = result->BuildReducedGraph(g);
   auto components = analytics::ConnectedComponents(reduced);
@@ -111,7 +111,7 @@ TEST(SpanningForestTest, MultiComponentForest) {
 TEST(SpanningForestTest, KeptEdgesUnique) {
   Rng rng(11);
   auto g = graph::ErdosRenyi(100, 400, rng);
-  auto result = SpanningForestShedding().Reduce(g, 0.4);
+  auto result = SpanningForestShedding().Shed(g, {.p = 0.4});
   ASSERT_TRUE(result.ok());
   std::set<graph::EdgeId> unique(result->kept_edges.begin(),
                                  result->kept_edges.end());
@@ -121,8 +121,8 @@ TEST(SpanningForestTest, KeptEdgesUnique) {
 TEST(SpanningForestTest, DeterministicBySeed) {
   Rng rng(12);
   auto g = graph::ErdosRenyi(100, 300, rng);
-  auto a = SpanningForestShedding(3).Reduce(g, 0.5);
-  auto b = SpanningForestShedding(3).Reduce(g, 0.5);
+  auto a = SpanningForestShedding(3).Shed(g, {.p = 0.5});
+  auto b = SpanningForestShedding(3).Shed(g, {.p = 0.5});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->kept_edges, b->kept_edges);

@@ -143,8 +143,8 @@ TEST_P(FuzzAnalyticsTest, SheddersMeetBoundsOnEveryFamily) {
   graph::Graph g = MakeGraph();
   if (g.NumEdges() < 10) return;
   for (double p : {0.25, 0.75}) {
-    auto crr = core::Crr().Reduce(g, p);
-    auto bm2 = core::Bm2().Reduce(g, p);
+    auto crr = core::Crr().Shed(g, {.p = p});
+    auto bm2 = core::Bm2().Shed(g, {.p = p});
     ASSERT_TRUE(crr.ok());
     ASSERT_TRUE(bm2.ok());
     EXPECT_LT(crr->average_delta, core::CrrAverageDeltaBound(g, p));

@@ -44,8 +44,8 @@ TEST_F(PaperShapeTest, SurrogateIsGrQcLike) {
 
 TEST_F(PaperShapeTest, BothMethodsMeetTheirBounds) {
   for (double p : {0.2, 0.5, 0.8}) {
-    auto crr = core::Crr().Reduce(g(), p);
-    auto bm2 = core::Bm2().Reduce(g(), p);
+    auto crr = core::Crr().Shed(g(), {.p = p});
+    auto bm2 = core::Bm2().Shed(g(), {.p = p});
     ASSERT_TRUE(crr.ok());
     ASSERT_TRUE(bm2.ok());
     EXPECT_LT(crr->average_delta, core::CrrAverageDeltaBound(g(), p));
@@ -58,8 +58,8 @@ TEST_F(PaperShapeTest, BothMethodsMeetTheirBounds) {
 
 TEST_F(PaperShapeTest, DegreeDistributionPreservedBetterThanUds) {
   const double p = 0.5;
-  auto crr = core::Crr().Reduce(g(), p);
-  auto bm2 = core::Bm2().Reduce(g(), p);
+  auto crr = core::Crr().Shed(g(), {.p = p});
+  auto bm2 = core::Bm2().Shed(g(), {.p = p});
   ASSERT_TRUE(crr.ok());
   ASSERT_TRUE(bm2.ok());
   auto uds = baseline::Uds().Summarize(g(), p);
@@ -92,7 +92,7 @@ TEST_F(PaperShapeTest, TopKUtilityOrderingMidP) {
   // Tables VIII-IX: CRR leads at every p. (BM2 vs UDS flips at mid-p on
   // this 1/5-scale surrogate; the decisive separation is at small p.)
   const double p = 0.5;
-  auto crr = core::Crr().Reduce(g(), p);
+  auto crr = core::Crr().Shed(g(), {.p = p});
   ASSERT_TRUE(crr.ok());
   auto uds = baseline::Uds().Summarize(g(), p);
   ASSERT_TRUE(uds.ok());
@@ -108,8 +108,8 @@ TEST_F(PaperShapeTest, TopKUtilityOrderingSmallP) {
   // (Table VIII: UDS 0.27 vs CRR 0.50, BM2 0.46 on ca-GrQc); both of our
   // methods must beat the baseline here.
   const double p = 0.2;
-  auto crr = core::Crr().Reduce(g(), p);
-  auto bm2 = core::Bm2().Reduce(g(), p);
+  auto crr = core::Crr().Shed(g(), {.p = p});
+  auto bm2 = core::Bm2().Shed(g(), {.p = p});
   ASSERT_TRUE(crr.ok());
   ASSERT_TRUE(bm2.ok());
   auto uds = baseline::Uds().Summarize(g(), p);
@@ -125,7 +125,7 @@ TEST_F(PaperShapeTest, TopKUtilityOrderingSmallP) {
 
 TEST_F(PaperShapeTest, DistanceProfilePreserved) {
   const double p = 0.7;
-  auto crr = core::Crr().Reduce(g(), p);
+  auto crr = core::Crr().Shed(g(), {.p = p});
   ASSERT_TRUE(crr.ok());
   auto original_profile = analytics::DistanceProfile(g());
   auto reduced_profile =
@@ -137,8 +137,8 @@ TEST_F(PaperShapeTest, DistanceProfilePreserved) {
 TEST_F(PaperShapeTest, Bm2IsFasterThanCrr) {
   // Table III: BM2 reduction is orders of magnitude faster than CRR
   // (which pays for betweenness). Allow generous slack.
-  auto crr = core::Crr().Reduce(g(), 0.5);
-  auto bm2 = core::Bm2().Reduce(g(), 0.5);
+  auto crr = core::Crr().Shed(g(), {.p = 0.5});
+  auto bm2 = core::Bm2().Shed(g(), {.p = 0.5});
   ASSERT_TRUE(crr.ok());
   ASSERT_TRUE(bm2.ok());
   EXPECT_LT(bm2->reduction_seconds, crr->reduction_seconds);
@@ -147,8 +147,8 @@ TEST_F(PaperShapeTest, Bm2IsFasterThanCrr) {
 TEST_F(PaperShapeTest, CrrQualityBeatsOrMatchesBm2AtSmallP) {
   // The paper's overall conclusion: CRR usually yields the better degree
   // discrepancy, BM2 the better runtime.
-  auto crr = core::Crr().Reduce(g(), 0.3);
-  auto bm2 = core::Bm2().Reduce(g(), 0.3);
+  auto crr = core::Crr().Shed(g(), {.p = 0.3});
+  auto bm2 = core::Bm2().Shed(g(), {.p = 0.3});
   ASSERT_TRUE(crr.ok());
   ASSERT_TRUE(bm2.ok());
   EXPECT_LE(crr->average_delta, bm2->average_delta + 0.25);

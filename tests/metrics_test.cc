@@ -70,7 +70,7 @@ TEST(TopKUtilityForReducedTest, EmptyReducedScoresZero) {
 TEST(TopKUtilityForReducedTest, GoodReductionScoresHigh) {
   Rng rng(113);
   auto g = graph::BarabasiAlbert(500, 4, rng);
-  auto result = core::Crr().Reduce(g, 0.8);
+  auto result = core::Crr().Shed(g, {.p = 0.8});
   ASSERT_TRUE(result.ok());
   auto reduced = result->BuildReducedGraph(g);
   EXPECT_GT(TopKUtilityForReduced(g, reduced, 10.0), 0.6);
@@ -79,7 +79,7 @@ TEST(TopKUtilityForReducedTest, GoodReductionScoresHigh) {
 TEST(TopKUtilityForReducedTest, UtilityWithinUnitInterval) {
   Rng rng(114);
   auto g = graph::ErdosRenyi(200, 600, rng);
-  auto result = core::Crr().Reduce(g, 0.3);
+  auto result = core::Crr().Shed(g, {.p = 0.3});
   ASSERT_TRUE(result.ok());
   double utility = TopKUtilityForReduced(g, result->BuildReducedGraph(g), 10.0);
   EXPECT_GE(utility, 0.0);

@@ -146,7 +146,7 @@ TEST_F(RpcServerTest, ShedOverTcpMatchesInProcessExactly) {
   const graph::Graph g = Clique(40);
   auto shedder = core::MakeShedderByName("crr", 42);
   ASSERT_TRUE(shedder.ok());
-  auto local = (*shedder)->Reduce(g, 0.5);
+  auto local = (*shedder)->Shed(g, {.p = 0.5});
   ASSERT_TRUE(local.ok()) << local.status();
 
   RpcClient client = MakeClient();
@@ -480,7 +480,7 @@ TEST_F(RpcServerTest, ShedWithOutputWritesTheKeptSnapshot) {
   // The snapshot is the kept subgraph of the same in-process reduction.
   auto shedder = core::MakeShedderByName("crr", 42);
   ASSERT_TRUE(shedder.ok());
-  auto local = (*shedder)->Reduce(Clique(40), 0.5);
+  auto local = (*shedder)->Shed(Clique(40), {.p = 0.5});
   ASSERT_TRUE(local.ok());
   auto snapshot = graph::LoadSnapshot(out_dir + "/clique.kept.esg");
   ASSERT_TRUE(snapshot.ok()) << snapshot.status();

@@ -173,10 +173,10 @@ TEST_F(ParallelDeterminismTest, CrrKeptEdgesAreThreadCountInvariant) {
   core::Crr crr(options);
 
   SetThreads("1");
-  auto serial = crr.Reduce(g, 0.4);
+  auto serial = crr.Shed(g, {.p = 0.4});
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   SetThreads("8");
-  auto parallel = crr.Reduce(g, 0.4);
+  auto parallel = crr.Shed(g, {.p = 0.4});
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
 
   EXPECT_EQ(serial->kept_edges, parallel->kept_edges);

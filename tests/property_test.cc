@@ -59,21 +59,21 @@ class SheddingPropertyTest
 
 TEST_P(SheddingPropertyTest, CrrKeepsExactTargetCount) {
   auto g = MakeGraph();
-  auto result = Crr().Reduce(g, p());
+  auto result = Crr().Shed(g, {.p = p()});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->kept_edges.size(), TargetEdgeCount(g, p()));
 }
 
 TEST_P(SheddingPropertyTest, CrrMeetsTheoremOneBound) {
   auto g = MakeGraph();
-  auto result = Crr().Reduce(g, p());
+  auto result = Crr().Shed(g, {.p = p()});
   ASSERT_TRUE(result.ok());
   EXPECT_LT(result->average_delta, CrrAverageDeltaBound(g, p()));
 }
 
 TEST_P(SheddingPropertyTest, CrrDeltaMatchesRecomputation) {
   auto g = MakeGraph();
-  auto result = Crr().Reduce(g, p());
+  auto result = Crr().Shed(g, {.p = p()});
   ASSERT_TRUE(result.ok());
   DegreeDiscrepancy d(g, p());
   for (graph::EdgeId e : result->kept_edges) {
@@ -84,7 +84,7 @@ TEST_P(SheddingPropertyTest, CrrDeltaMatchesRecomputation) {
 
 TEST_P(SheddingPropertyTest, Bm2MeetsTheoremTwoBound) {
   auto g = MakeGraph();
-  auto result = Bm2().Reduce(g, p());
+  auto result = Bm2().Shed(g, {.p = p()});
   ASSERT_TRUE(result.ok());
   EXPECT_LT(result->average_delta, Bm2AverageDeltaBound(g, p()));
 }
@@ -93,7 +93,7 @@ TEST_P(SheddingPropertyTest, Bm2Phase1IsMaximalBMatching) {
   auto g = MakeGraph();
   Bm2Options phase1_only;
   phase1_only.run_phase2 = false;
-  auto result = Bm2(phase1_only).Reduce(g, p());
+  auto result = Bm2(phase1_only).Shed(g, {.p = p()});
   ASSERT_TRUE(result.ok());
   auto capacities = Bm2::Capacities(g, p());
   EXPECT_TRUE(IsMaximalBMatching(g, result->kept_edges, capacities));
@@ -101,7 +101,7 @@ TEST_P(SheddingPropertyTest, Bm2Phase1IsMaximalBMatching) {
 
 TEST_P(SheddingPropertyTest, Bm2NodesNeverExceedExpectationPlusOne) {
   auto g = MakeGraph();
-  auto result = Bm2().Reduce(g, p());
+  auto result = Bm2().Shed(g, {.p = p()});
   ASSERT_TRUE(result.ok());
   std::vector<uint32_t> load(g.NumNodes(), 0);
   for (graph::EdgeId e : result->kept_edges) {
@@ -124,7 +124,7 @@ TEST_P(SheddingPropertyTest, KeptEdgesAreUniqueSubsets) {
        {static_cast<const EdgeShedder*>(&crr),
         static_cast<const EdgeShedder*>(&bm2),
         static_cast<const EdgeShedder*>(&random)}) {
-    auto result = shedder->Reduce(g, p());
+    auto result = shedder->Shed(g, {.p = p()});
     ASSERT_TRUE(result.ok()) << shedder->name();
     std::set<graph::EdgeId> unique(result->kept_edges.begin(),
                                    result->kept_edges.end());
@@ -137,7 +137,7 @@ TEST_P(SheddingPropertyTest, KeptEdgesAreUniqueSubsets) {
 
 TEST_P(SheddingPropertyTest, ReducedGraphDegreesNeverExceedOriginal) {
   auto g = MakeGraph();
-  auto result = Bm2().Reduce(g, p());
+  auto result = Bm2().Shed(g, {.p = p()});
   ASSERT_TRUE(result.ok());
   auto reduced = result->BuildReducedGraph(g);
   ASSERT_EQ(reduced.NumNodes(), g.NumNodes());
@@ -148,8 +148,8 @@ TEST_P(SheddingPropertyTest, ReducedGraphDegreesNeverExceedOriginal) {
 
 TEST_P(SheddingPropertyTest, CrrNotWorseThanRandomOnDelta) {
   auto g = MakeGraph();
-  auto crr_result = Crr().Reduce(g, p());
-  auto random_result = RandomShedding().Reduce(g, p());
+  auto crr_result = Crr().Shed(g, {.p = p()});
+  auto random_result = RandomShedding().Shed(g, {.p = p()});
   ASSERT_TRUE(crr_result.ok());
   ASSERT_TRUE(random_result.ok());
   EXPECT_LE(crr_result->total_delta, random_result->total_delta + 1e-9);
@@ -162,8 +162,8 @@ TEST_P(SheddingPropertyTest, Bm2CompetitiveWithRandomOnDelta) {
   // strong Δ baseline. Assert BM2 stays within 30% — the paper's claims
   // are about beating UDS, not random sampling on this metric.
   auto g = MakeGraph();
-  auto bm2_result = Bm2().Reduce(g, p());
-  auto random_result = RandomShedding().Reduce(g, p());
+  auto bm2_result = Bm2().Shed(g, {.p = p()});
+  auto random_result = RandomShedding().Shed(g, {.p = p()});
   ASSERT_TRUE(bm2_result.ok());
   ASSERT_TRUE(random_result.ok());
   EXPECT_LE(bm2_result->total_delta,

@@ -16,7 +16,7 @@ using ::edgeshed::testing::PaperExampleGraph;
 
 TEST(RandomSheddingTest, KeepsTargetEdgeCount) {
   auto g = PaperExampleGraph();
-  auto result = RandomShedding().Reduce(g, 0.4);
+  auto result = RandomShedding().Shed(g, {.p = 0.4});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->kept_edges.size(), 4u);
 }
@@ -24,7 +24,7 @@ TEST(RandomSheddingTest, KeepsTargetEdgeCount) {
 TEST(RandomSheddingTest, EdgesAreDistinctAndValid) {
   Rng rng(71);
   auto g = graph::ErdosRenyi(200, 600, rng);
-  auto result = RandomShedding().Reduce(g, 0.5);
+  auto result = RandomShedding().Shed(g, {.p = 0.5});
   ASSERT_TRUE(result.ok());
   std::set<graph::EdgeId> unique(result->kept_edges.begin(),
                                  result->kept_edges.end());
@@ -34,25 +34,25 @@ TEST(RandomSheddingTest, EdgesAreDistinctAndValid) {
 
 TEST(RandomSheddingTest, DeterministicBySeed) {
   auto g = PaperExampleGraph();
-  auto a = RandomShedding(5).Reduce(g, 0.5);
-  auto b = RandomShedding(5).Reduce(g, 0.5);
+  auto a = RandomShedding(5).Shed(g, {.p = 0.5});
+  auto b = RandomShedding(5).Shed(g, {.p = 0.5});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->kept_edges, b->kept_edges);
-  auto c = RandomShedding(6).Reduce(g, 0.5);
+  auto c = RandomShedding(6).Shed(g, {.p = 0.5});
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(c->kept_edges.size(), a->kept_edges.size());
 }
 
 TEST(RandomSheddingTest, RejectsInvalidP) {
   auto g = PaperExampleGraph();
-  EXPECT_FALSE(RandomShedding().Reduce(g, 0.0).ok());
-  EXPECT_FALSE(RandomShedding().Reduce(g, 1.0).ok());
+  EXPECT_FALSE(RandomShedding().Shed(g, {.p = 0.0}).ok());
+  EXPECT_FALSE(RandomShedding().Shed(g, {.p = 1.0}).ok());
 }
 
 TEST(RandomSheddingTest, DeltaIsConsistent) {
   auto g = PaperExampleGraph();
-  auto result = RandomShedding().Reduce(g, 0.4);
+  auto result = RandomShedding().Shed(g, {.p = 0.4});
   ASSERT_TRUE(result.ok());
   DegreeDiscrepancy d(g, 0.4);
   for (graph::EdgeId e : result->kept_edges) {

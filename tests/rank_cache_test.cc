@@ -255,7 +255,7 @@ TEST(RankCacheSchedulerTest, CrrJobsAtDifferentPShareOneRanking) {
   // in-process reduction.
   for (auto [id, p] : {std::pair{*first, 0.3}, std::pair{*second, 0.6}}) {
     auto expected = core::Crr(core::CrrOptions{.seed = spec.seed})
-                        .Reduce(SmallScaleFree(), p);
+                        .Shed(SmallScaleFree(), {.p = p});
     ASSERT_TRUE(expected.ok());
     auto got = scheduler.Wait(id);
     ASSERT_TRUE(got.ok());

@@ -492,7 +492,7 @@ TEST(JobSchedulerTest, ConcurrentSubmissionsMatchDirectReduce) {
       auto shedder = core::MakeShedderByName(c.spec.method, c.spec.seed);
       ASSERT_TRUE(shedder.ok());
       const graph::Graph& g = c.spec.dataset == "clique" ? clique : paper;
-      auto direct = (*shedder)->Reduce(g, c.spec.p);
+      auto direct = (*shedder)->Shed(g, {.p = c.spec.p});
       ASSERT_TRUE(direct.ok()) << direct.status();
       EXPECT_EQ((*result)->kept_edges, direct->kept_edges)
           << c.spec.dataset << " " << c.spec.method << " p=" << c.spec.p
@@ -759,7 +759,7 @@ TEST(JobSchedulerTest, ResultCacheIsByteBoundedLru) {
 
   auto shedder = core::MakeShedderByName("random", 1);
   ASSERT_TRUE(shedder.ok());
-  auto direct = (*shedder)->Reduce(g, 0.5);
+  auto direct = (*shedder)->Shed(g, {.p = 0.5});
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ((*result)->kept_edges, direct->kept_edges);
 }
@@ -799,7 +799,7 @@ TEST(JobSchedulerTest, CancelOfQueuedPrimaryPromotesFollower) {
 
   auto shedder = core::MakeShedderByName(spec.method, spec.seed);
   ASSERT_TRUE(shedder.ok());
-  auto direct = (*shedder)->Reduce(g, spec.p);
+  auto direct = (*shedder)->Shed(g, {.p = spec.p});
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ((*result)->kept_edges, direct->kept_edges);
   EXPECT_TRUE(scheduler.Wait(*blocker).ok());
@@ -831,7 +831,7 @@ TEST(JobSchedulerTest, CancelOfRunningPrimaryPromotesFollower) {
 
   auto shedder = core::MakeShedderByName(spec.method, spec.seed);
   ASSERT_TRUE(shedder.ok());
-  auto direct = (*shedder)->Reduce(big, spec.p);
+  auto direct = (*shedder)->Shed(big, {.p = spec.p});
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ((*result)->kept_edges, direct->kept_edges);
 }
@@ -1318,7 +1318,7 @@ TEST(JobSchedulerQosTest, DegradationTierIsRecordedNeverSilent) {
   // The answer really is the cheaper tier's answer.
   auto shedder = core::MakeShedderByName("bm2", spec.seed);
   ASSERT_TRUE(shedder.ok());
-  auto direct = (*shedder)->Reduce(g, spec.p);
+  auto direct = (*shedder)->Shed(g, {.p = spec.p});
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ((*result)->kept_edges, direct->kept_edges);
 

@@ -61,7 +61,7 @@ TEST(TargetEdgeCountTest, EmptyGraphStaysZero) {
 TEST(TargetEdgeCountTest, SheddersKeepAtLeastOneEdgeOnTinyGraphs) {
   const graph::Graph tiny = testing::Path(4);
   RandomShedding shedder(/*seed=*/1);
-  auto result = shedder.Reduce(tiny, 0.1);
+  auto result = shedder.Shed(tiny, {.p = 0.1});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->kept_edges.size(), 1u);
 }
@@ -74,7 +74,7 @@ TEST(TargetEdgeCountTest, SheddersKeepAtLeastOneEdgeOnTinyGraphs) {
 TEST(ShedOptionsTest, ReduceDelegatesToShedWithDefaults) {
   const graph::Graph g = testing::Cycle(20);
   RandomShedding shedder(/*seed=*/7);
-  auto via_reduce = shedder.Reduce(g, 0.5);
+  auto via_reduce = shedder.Shed(g, {.p = 0.5});
   ShedOptions options;
   options.p = 0.5;
   auto via_shed = shedder.Shed(g, options);
@@ -106,7 +106,7 @@ TEST(ShedOptionsTest, SeedOverrideChangesAndReproducesSelection) {
   ShedOptions unset;
   unset.p = 0.5;
   auto d = shedder.Shed(g, unset);
-  auto e = shedder.Reduce(g, 0.5);
+  auto e = shedder.Shed(g, {.p = 0.5});
   ASSERT_TRUE(d.ok());
   ASSERT_TRUE(e.ok());
   EXPECT_EQ(d->kept_edges, e->kept_edges);
@@ -165,7 +165,7 @@ TEST(ShedderFactoryTest, EveryKnownNameBuildsAndKeepsTheTarget) {
     SCOPED_TRACE(c.name);
     auto shedder = MakeShedderByName(c.name, /*seed=*/42);
     ASSERT_TRUE(shedder.ok()) << shedder.status();
-    auto result = (*shedder)->Reduce(g, kP);
+    auto result = (*shedder)->Shed(g, {.p = kP});
     ASSERT_TRUE(result.ok()) << result.status();
     const uint64_t kept = result->kept_edges.size();
     switch (c.budget) {

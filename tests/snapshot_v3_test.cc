@@ -123,8 +123,8 @@ TEST_F(SnapshotV3Test, MmapAndCopyShedIdentically) {
   ASSERT_TRUE(mapped->graph.IsMapped());
   ASSERT_FALSE(copied->graph.IsMapped());
   core::Crr crr;
-  auto from_mapped = crr.Reduce(mapped->graph, 0.5);
-  auto from_copied = crr.Reduce(copied->graph, 0.5);
+  auto from_mapped = crr.Shed(mapped->graph, {.p = 0.5});
+  auto from_copied = crr.Shed(copied->graph, {.p = 0.5});
   ASSERT_TRUE(from_mapped.ok());
   ASSERT_TRUE(from_copied.ok());
   EXPECT_EQ(from_mapped->kept_edges, from_copied->kept_edges);

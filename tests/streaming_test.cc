@@ -96,7 +96,7 @@ TEST(StreamingShedderTest, CompetitiveWithOfflineRandom) {
   StreamingShedder shedder(0.5);
   for (const graph::Edge& e : g.edges()) shedder.AddEdge(e.u, e.v);
 
-  auto offline = core::RandomShedding(3).Reduce(g, 0.5);
+  auto offline = core::RandomShedding(3).Shed(g, {.p = 0.5});
   ASSERT_TRUE(offline.ok());
   EXPECT_LT(shedder.TotalDelta(), offline->total_delta * 1.2);
 }

@@ -200,7 +200,7 @@ int CmdReduce(const eval::Flags& flags) {
     return Usage();
   }
   std::unique_ptr<core::EdgeShedder> shedder = std::move(shedder_or).value();
-  auto result = shedder->Reduce(input->graph, p);
+  auto result = shedder->Shed(input->graph, {.p = p});
   if (!result.ok()) {
     std::cerr << result.status() << "\n";
     return 1;
