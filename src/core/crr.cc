@@ -70,11 +70,11 @@ StatusOr<CrrRun> Crr::Run(const graph::Graph& g,
   if (CancellationRequested(cancel)) return cancel->ToStatus();
   CrrRun run{CacheEndpoints(g, ranked), TargetEdgeCount(num_edges, p),
              DegreeDiscrepancy(g, p)};
-  run.phase1_seconds = phase1_watch.ElapsedSeconds();
-  run.betweenness_seconds = betweenness_seconds;
   for (uint64_t i = 0; i < run.target; ++i) {
     run.discrepancy.AddEdge(run.slots[i].u(), run.slots[i].v());
   }
+  run.phase1_seconds = phase1_watch.ElapsedSeconds();
+  run.betweenness_seconds = betweenness_seconds;
 
   // ---- Phase 2: random swap attempts between E' and E \ E'. ----
   Stopwatch phase2_watch;

@@ -1,6 +1,7 @@
 #ifndef EDGESHED_CORE_CRR_H_
 #define EDGESHED_CORE_CRR_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -78,6 +79,15 @@ struct CrrRun {
 /// membership. `Slot` exposes endpoints as u() and v(). The token is polled
 /// once per 4096 attempts, so runs are bit-identical with and without one
 /// as long as it never trips. Returns the number of swaps accepted.
+///
+/// Lookahead (DESIGN.md §8, "Phase 2 lookahead"): the draw stream never
+/// depends on an accept decision, so each attempt's two positions are drawn
+/// kAhead attempts before it runs and both slots are prefetched then; the
+/// slots' contents are read only when the attempt runs. Draws keep the
+/// serial order (kept, then excluded, one pair per attempt) and the window
+/// never reaches past the next cancellation poll, so the slots, the
+/// discrepancy, the accepted count and the rng's state afterwards all match
+/// a plain one-attempt-at-a-time loop, cancelled runs included.
 template <typename Slot, typename OnAccept>
 StatusOr<uint64_t> RunSwapChain(std::vector<Slot>* slots, uint64_t target,
                                 uint64_t steps, Rng* rng,
@@ -87,27 +97,53 @@ StatusOr<uint64_t> RunSwapChain(std::vector<Slot>* slots, uint64_t target,
                                 OnAccept&& on_accept) {
   const uint64_t excluded_count = slots->size() - target;
   if (target == 0 || excluded_count == 0) return uint64_t{0};
-  constexpr uint64_t kCancelCheckMask = 4096 - 1;
+  constexpr uint64_t kCancelCheckInterval = 4096;
+  // Attempts in flight: enough to cover a DRAM miss at one attempt's
+  // compute cost, small enough to stay in registers and L1.
+  constexpr uint64_t kAhead = 16;
+  static_assert((kAhead & (kAhead - 1)) == 0, "ring index is a mask");
+  struct Draw {
+    uint64_t kept;
+    uint64_t excluded;
+  };
+  Draw ring[kAhead] = {};
+  Slot* const kept_slots = slots->data();
+  Slot* const excluded_slots = kept_slots + target;
   uint64_t accepted = 0;
-  for (uint64_t step = 0; step < steps; ++step) {
-    if ((step & kCancelCheckMask) == 0 && CancellationRequested(cancel)) {
-      return cancel->ToStatus();
+  for (uint64_t block = 0; block < steps; block += kCancelCheckInterval) {
+    if (CancellationRequested(cancel)) return cancel->ToStatus();
+    const uint64_t block_end = std::min(steps, block + kCancelCheckInterval);
+    uint64_t drawn = block;
+    const auto draw_next = [&] {
+      Draw& next = ring[drawn & (kAhead - 1)];
+      next.kept = rng->UniformIndex(target);
+      next.excluded = rng->UniformIndex(excluded_count);
+      __builtin_prefetch(kept_slots + next.kept);
+      __builtin_prefetch(excluded_slots + next.excluded);
+      ++drawn;
+    };
+    while (drawn < block_end && drawn < block + kAhead) draw_next();
+    for (uint64_t step = block; step < block_end; ++step) {
+      const Draw current = ring[step & (kAhead - 1)];
+      if (drawn < block_end) draw_next();
+      Slot& kept = kept_slots[current.kept];
+      Slot& excluded = excluded_slots[current.excluded];
+      // d1, d2 as Algorithm 1 lines 10-11: both against the current state.
+      // When the edges share an endpoint the true combined change can
+      // differ; the paper's test ignores that, while the bookkeeping below
+      // applies the two operations sequentially and stays exact.
+      const double d1 = discrepancy->RemovalDelta(kept.u(), kept.v());
+      const double d2 =
+          discrepancy->AdditionDelta(excluded.u(), excluded.v());
+      const double combined = d1 + d2;
+      const bool accept =
+          accept_zero_delta ? combined <= 0.0 : combined < 0.0;
+      if (!accept) continue;
+      discrepancy->RemoveEdge(kept.u(), kept.v());
+      discrepancy->AddEdge(excluded.u(), excluded.v());
+      on_accept(kept, excluded);
+      ++accepted;
     }
-    Slot& kept = (*slots)[rng->UniformIndex(target)];
-    Slot& excluded = (*slots)[target + rng->UniformIndex(excluded_count)];
-    // d1, d2 as Algorithm 1 lines 10-11: both against the current state.
-    // When the edges share an endpoint the true combined change can differ;
-    // the paper's test ignores that, while the bookkeeping below applies the
-    // two operations sequentially and stays exact.
-    const double d1 = discrepancy->RemovalDelta(kept.u(), kept.v());
-    const double d2 = discrepancy->AdditionDelta(excluded.u(), excluded.v());
-    const double combined = d1 + d2;
-    const bool accept = accept_zero_delta ? combined <= 0.0 : combined < 0.0;
-    if (!accept) continue;
-    discrepancy->RemoveEdge(kept.u(), kept.v());
-    discrepancy->AddEdge(excluded.u(), excluded.v());
-    on_accept(kept, excluded);
-    ++accepted;
   }
   return accepted;
 }

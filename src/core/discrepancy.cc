@@ -49,22 +49,6 @@ double DegreeDiscrepancy::AverageDelta() const {
              : total_delta_ / static_cast<double>(NumNodes());
 }
 
-double DegreeDiscrepancy::RemovalDelta(graph::NodeId u,
-                                       graph::NodeId v) const {
-  const double dis_u = Dis(u);
-  const double dis_v = Dis(v);
-  return std::abs(dis_u - 1.0) + std::abs(dis_v - 1.0) -
-         (std::abs(dis_u) + std::abs(dis_v));
-}
-
-double DegreeDiscrepancy::AdditionDelta(graph::NodeId u,
-                                        graph::NodeId v) const {
-  const double dis_u = Dis(u);
-  const double dis_v = Dis(v);
-  return std::abs(dis_u + 1.0) + std::abs(dis_v + 1.0) -
-         (std::abs(dis_u) + std::abs(dis_v));
-}
-
 double DegreeDiscrepancy::RecomputeTotalDelta() const {
   double total = 0.0;
   for (uint64_t u = 0; u < NumNodes(); ++u) {

@@ -1,6 +1,7 @@
 #ifndef EDGESHED_CORE_DISCREPANCY_H_
 #define EDGESHED_CORE_DISCREPANCY_H_
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -55,11 +56,21 @@ class DegreeDiscrepancy {
 
   /// Change in Δ that removing edge {u, v} would cause right now — the d1
   /// of CRR (Algorithm 1, line 10). Negative values improve the objective.
-  double RemovalDelta(graph::NodeId u, graph::NodeId v) const;
+  double RemovalDelta(graph::NodeId u, graph::NodeId v) const {
+    const double dis_u = Dis(u);
+    const double dis_v = Dis(v);
+    return std::abs(dis_u - 1.0) + std::abs(dis_v - 1.0) -
+           (std::abs(dis_u) + std::abs(dis_v));
+  }
 
   /// Change in Δ that adding edge {u, v} would cause right now — the d2 of
   /// CRR (Algorithm 1, line 11).
-  double AdditionDelta(graph::NodeId u, graph::NodeId v) const;
+  double AdditionDelta(graph::NodeId u, graph::NodeId v) const {
+    const double dis_u = Dis(u);
+    const double dis_v = Dis(v);
+    return std::abs(dis_u + 1.0) + std::abs(dis_v + 1.0) -
+           (std::abs(dis_u) + std::abs(dis_v));
+  }
 
   /// O(|V|) recomputation of Δ from scratch (tests / drift control).
   double RecomputeTotalDelta() const;

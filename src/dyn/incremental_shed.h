@@ -106,6 +106,20 @@ class ShedSession {
   /// this).
   static constexpr uint64_t kRefineStepsPerMutation = 20;
 
+  /// One slot of the maintained global rank order. `eff` is the effective
+  /// (decay-weighted) score the slot held at state_version_; the key packs
+  /// the canonical endpoints of the edge currently occupying the slot.
+  /// 16 bytes on purpose: the merge pass streams |E| of these. Public so
+  /// tests can drive core::RunSwapChain over this slot type.
+  struct RankedEdge {
+    double eff;
+    uint64_t key;
+    graph::NodeId u() const { return static_cast<graph::NodeId>(key >> 32); }
+    graph::NodeId v() const {
+      return static_cast<graph::NodeId>(key & 0xFFFFFFFFull);
+    }
+  };
+
   ShedSession(std::shared_ptr<VersionedGraph> g, DynamicShedOptions options);
 
   /// Re-sheds against the current version. See class comment.
@@ -116,19 +130,6 @@ class ShedSession {
   const DynamicShedOptions& options() const { return options_; }
 
  private:
-  /// One slot of the maintained global rank order. `eff` is the effective
-  /// (decay-weighted) score the slot held at state_version_; the key packs
-  /// the canonical endpoints of the edge currently occupying the slot.
-  /// 16 bytes on purpose: the merge pass streams |E| of these.
-  struct RankedEdge {
-    double eff;
-    uint64_t key;
-    graph::NodeId u() const { return static_cast<graph::NodeId>(key >> 32); }
-    graph::NodeId v() const {
-      return static_cast<graph::NodeId>(key & 0xFFFFFFFFull);
-    }
-  };
-
   StatusOr<DynamicShedResult> FullShed(
       const std::shared_ptr<const DeltaGraph>& snap);
   StatusOr<DynamicShedResult> IncrementalShed(

@@ -2,11 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <set>
+#include <string>
+#include <tuple>
+#include <type_traits>
+#include <vector>
 
+#include "common/cancellation.h"
 #include "core/bounds.h"
 #include "core/discrepancy.h"
 #include "core/random_shedding.h"
+#include "dyn/incremental_shed.h"
 #include "graph/generators/generators.h"
 #include "testing/test_graphs.h"
 
@@ -238,8 +246,269 @@ TEST(CrrTest, SmallPAndLargePExtremes) {
   EXPECT_EQ(high->kept_edges.size(), 297u);
 }
 
+// 64-bit FNV-1a over the (sorted) kept edge ids.
+uint64_t KeptSetHash(const std::vector<graph::EdgeId>& kept) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (graph::EdgeId e : kept) {
+    hash ^= e;
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+struct PinnedShed {
+  const char* name;
+  const graph::Graph* graph;
+  double p;
+  uint64_t kept_hash;
+  double total_delta;
+  uint64_t swaps_accepted;
+};
+
+// Pins Crr's output across revisions, not just across two runs of one build
+// (DeterministicGivenSeed): a Phase-2 rewrite that reordered the draw stream
+// or an accept decision would change these values. Recorded from the serial
+// swap chain; regenerate only for a deliberate change of the algorithm.
+TEST(CrrTest, OutputPinnedAcrossRevisions) {
+  Rng ba_rng(2021);
+  const graph::Graph ba = graph::BarabasiAlbert(2000, 4, ba_rng);
+  Rng rmat_rng(2021);
+  const graph::Graph rmat = graph::RMat(11, 8, 0.57, 0.19, 0.19, rmat_rng);
+  const PinnedShed pinned[] = {
+      {"ba", &ba, 0.3, 8320859068109702723ull, 685.9999999999153, 2299},
+      {"ba", &ba, 0.5, 9243588337596389722ull, 507.0, 1962},
+      {"rmat", &rmat, 0.3, 2486524392862904303ull, 535.39999999999372, 3262},
+      {"rmat", &rmat, 0.5, 12102480193584309317ull, 522.0, 3038},
+  };
+  for (const PinnedShed& want : pinned) {
+    SCOPED_TRACE(std::string(want.name) + " p=" + std::to_string(want.p));
+    auto result = Crr().Shed(*want.graph, {.p = want.p, .seed = 42});
+    ASSERT_TRUE(result.ok());
+    const auto stat = [&](const std::string& key) {
+      for (const auto& [name, value] : result->stats) {
+        if (name == key) return value;
+      }
+      return -1.0;
+    };
+    EXPECT_EQ(KeptSetHash(result->kept_edges), want.kept_hash);
+    EXPECT_DOUBLE_EQ(result->total_delta, want.total_delta);
+    EXPECT_EQ(static_cast<uint64_t>(stat("swaps_accepted")),
+              want.swaps_accepted);
+  }
+}
+
 TEST(CrrTest, NameIsStable) {
   EXPECT_EQ(Crr().name(), "crr");
+}
+
+// ---- RunSwapChain against the plain serial chain ----
+
+// The one-attempt-at-a-time loop RunSwapChain replaced, kept only here as
+// its oracle: draw both positions, read both slots, decide, apply.
+template <typename Slot, typename OnAccept>
+StatusOr<uint64_t> SerialSwapChain(std::vector<Slot>* slots, uint64_t target,
+                                   uint64_t steps, Rng* rng,
+                                   bool accept_zero_delta,
+                                   DegreeDiscrepancy* discrepancy,
+                                   const CancellationToken* cancel,
+                                   OnAccept&& on_accept) {
+  const uint64_t excluded_count = slots->size() - target;
+  if (target == 0 || excluded_count == 0) return uint64_t{0};
+  uint64_t accepted = 0;
+  for (uint64_t step = 0; step < steps; ++step) {
+    if ((step & 4095) == 0 && CancellationRequested(cancel)) {
+      return cancel->ToStatus();
+    }
+    Slot& kept = (*slots)[rng->UniformIndex(target)];
+    Slot& excluded = (*slots)[target + rng->UniformIndex(excluded_count)];
+    const double d1 = discrepancy->RemovalDelta(kept.u(), kept.v());
+    const double d2 = discrepancy->AdditionDelta(excluded.u(), excluded.v());
+    const double combined = d1 + d2;
+    const bool accept = accept_zero_delta ? combined <= 0.0 : combined < 0.0;
+    if (!accept) continue;
+    discrepancy->RemoveEdge(kept.u(), kept.v());
+    discrepancy->AddEdge(excluded.u(), excluded.v());
+    on_accept(kept, excluded);
+    ++accepted;
+  }
+  return accepted;
+}
+
+using RankedEdge = dyn::ShedSession::RankedEdge;
+
+auto SlotFields(const CrrSlot& slot) {
+  return std::make_tuple(slot.id, slot.edge.u, slot.edge.v);
+}
+auto SlotFields(const RankedEdge& slot) {
+  return std::make_tuple(slot.eff, slot.key);
+}
+
+// Everything a chain reads or writes, built identically for both chains.
+template <typename Slot>
+struct ChainState {
+  std::vector<Slot> slots;
+  DegreeDiscrepancy discrepancy;
+  Rng rng{42};
+  uint64_t accepted = 0;
+};
+
+constexpr double kChainP = 0.5;
+
+const graph::Graph& ChainGraph() {
+  static const graph::Graph g = [] {
+    Rng rng(60);
+    return graph::BarabasiAlbert(300, 3, rng);
+  }();
+  return g;
+}
+
+template <typename Slot>
+ChainState<Slot> MakeChainState(uint64_t target) {
+  const graph::Graph& g = ChainGraph();
+  std::vector<graph::EdgeId> order(g.NumEdges());
+  std::iota(order.begin(), order.end(), graph::EdgeId{0});
+  Rng order_rng(7);
+  order_rng.Shuffle(&order);
+  ChainState<Slot> state{{}, DegreeDiscrepancy(g, kChainP)};
+  for (uint64_t i = 0; i < order.size(); ++i) {
+    const graph::Edge edge = g.edge(order[i]);
+    if constexpr (std::is_same_v<Slot, CrrSlot>) {
+      state.slots.push_back(CrrSlot{order[i], edge});
+    } else {
+      state.slots.push_back(
+          RankedEdge{static_cast<double>(order.size() - i),
+                     (uint64_t{edge.u} << 32) | edge.v});
+    }
+  }
+  for (uint64_t i = 0; i < target; ++i) {
+    state.discrepancy.AddEdge(state.slots[i].u(), state.slots[i].v());
+  }
+  return state;
+}
+
+// Runs `chain` (RunSwapChain or SerialSwapChain) over `state`. The accept
+// callback trades occupants the way Crr (whole slot) or dyn::ShedSession
+// (key only, each slot keeps its eff) does, and trips `cancel` on the
+// `cancel_on_accept`-th accepted swap when that is non-zero.
+template <typename Slot, typename Chain>
+Status RunChain(Chain chain, ChainState<Slot>* state, uint64_t target,
+                uint64_t steps, bool accept_zero_delta,
+                CancellationToken* cancel, uint64_t cancel_on_accept = 0) {
+  auto on_accept = [&](Slot& kept, Slot& excluded) {
+    if constexpr (std::is_same_v<Slot, CrrSlot>) {
+      std::swap(kept, excluded);
+    } else {
+      std::swap(kept.key, excluded.key);
+    }
+    if (++state->accepted == cancel_on_accept) cancel->Cancel();
+  };
+  StatusOr<uint64_t> accepted =
+      chain(&state->slots, target, steps, &state->rng, accept_zero_delta,
+            &state->discrepancy, cancel, on_accept);
+  if (!accepted.ok()) return accepted.status();
+  EXPECT_EQ(*accepted, state->accepted);
+  return Status::OK();
+}
+
+const auto kLookaheadChain = [](auto&&... args) {
+  return RunSwapChain(std::forward<decltype(args)>(args)...);
+};
+const auto kSerialChain = [](auto&&... args) {
+  return SerialSwapChain(std::forward<decltype(args)>(args)...);
+};
+
+// Equal slots, Δ, accepted count, and rng position: the next output after
+// the call pins the number of draws each chain made.
+template <typename Slot>
+void ExpectSameState(ChainState<Slot>* got, ChainState<Slot>* want) {
+  ASSERT_EQ(got->slots.size(), want->slots.size());
+  const auto mismatch = std::mismatch(
+      got->slots.begin(), got->slots.end(), want->slots.begin(),
+      [](const Slot& a, const Slot& b) {
+        return SlotFields(a) == SlotFields(b);
+      });
+  EXPECT_TRUE(mismatch.first == got->slots.end())
+      << "first differing slot " << (mismatch.first - got->slots.begin());
+  EXPECT_EQ(got->discrepancy.TotalDelta(), want->discrepancy.TotalDelta());
+  EXPECT_EQ(got->accepted, want->accepted);
+  EXPECT_EQ(got->rng.Next(), want->rng.Next());
+}
+
+template <typename Slot>
+void ExpectMatchesSerialChain() {
+  const uint64_t num_edges = ChainGraph().NumEdges();
+  const uint64_t half = TargetEdgeCount(num_edges, kChainP);
+  const uint64_t full_steps = Crr().StepsFor(num_edges, kChainP);
+  ASSERT_GT(full_steps, 4097u);
+  for (const uint64_t target : {half, uint64_t{1}, num_edges - 1}) {
+    for (const uint64_t steps :
+         {uint64_t{0}, uint64_t{1}, uint64_t{15}, uint64_t{16}, uint64_t{17},
+          uint64_t{4097}, full_steps}) {
+      for (const bool accept_zero_delta : {false, true}) {
+        SCOPED_TRACE("target=" + std::to_string(target) +
+                     " steps=" + std::to_string(steps) +
+                     " zero=" + std::to_string(accept_zero_delta));
+        ChainState<Slot> got = MakeChainState<Slot>(target);
+        ChainState<Slot> want = MakeChainState<Slot>(target);
+        ASSERT_TRUE(RunChain(kLookaheadChain, &got, target, steps,
+                             accept_zero_delta, nullptr)
+                        .ok());
+        ASSERT_TRUE(RunChain(kSerialChain, &want, target, steps,
+                             accept_zero_delta, nullptr)
+                        .ok());
+        ExpectSameState(&got, &want);
+      }
+    }
+  }
+}
+
+TEST(SwapChainTest, CrrSlotsMatchSerialChain) {
+  ExpectMatchesSerialChain<CrrSlot>();
+}
+
+TEST(SwapChainTest, RankedEdgeSlotsMatchSerialChain) {
+  ExpectMatchesSerialChain<RankedEdge>();
+}
+
+// A token tripped before the call, and one tripped by the 3rd accepted swap
+// (the chain notices at its next poll, attempt 4096): both chains must stop
+// with Cancelled at the same point, leaving the same state behind.
+template <typename Slot>
+void ExpectCancellationMatchesSerialChain() {
+  const uint64_t num_edges = ChainGraph().NumEdges();
+  const uint64_t target = TargetEdgeCount(num_edges, kChainP);
+  const uint64_t steps = Crr().StepsFor(num_edges, kChainP);
+  for (const uint64_t cancel_on_accept : {uint64_t{0}, uint64_t{3}}) {
+    SCOPED_TRACE("cancel_on_accept=" + std::to_string(cancel_on_accept));
+    CancellationToken got_token;
+    CancellationToken want_token;
+    if (cancel_on_accept == 0) {
+      got_token.Cancel();
+      want_token.Cancel();
+    }
+    ChainState<Slot> got = MakeChainState<Slot>(target);
+    ChainState<Slot> want = MakeChainState<Slot>(target);
+    const Status got_status = RunChain(kLookaheadChain, &got, target, steps,
+                                       false, &got_token, cancel_on_accept);
+    const Status want_status = RunChain(kSerialChain, &want, target, steps,
+                                        false, &want_token, cancel_on_accept);
+    EXPECT_EQ(got_status.code(), StatusCode::kCancelled);
+    EXPECT_EQ(want_status.code(), StatusCode::kCancelled);
+    if (cancel_on_accept == 0) {
+      EXPECT_EQ(got.accepted, 0u);
+    } else {
+      EXPECT_GE(got.accepted, cancel_on_accept);
+    }
+    ExpectSameState(&got, &want);
+  }
+}
+
+TEST(SwapChainTest, CrrSlotsCancelLikeSerialChain) {
+  ExpectCancellationMatchesSerialChain<CrrSlot>();
+}
+
+TEST(SwapChainTest, RankedEdgeSlotsCancelLikeSerialChain) {
+  ExpectCancellationMatchesSerialChain<RankedEdge>();
 }
 
 }  // namespace
