@@ -34,7 +34,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "analytics/betweenness.h"
@@ -64,6 +66,8 @@ struct BenchResult {
   double max_seconds = 0.0;
   /// Adaptive-wave count for ranking ops; -1 means not applicable.
   int64_t waves = -1;
+  /// Thread count of a row pinned to one; -1 means the suite's default.
+  int threads = -1;
 };
 
 double Median(std::vector<double> samples) {
@@ -252,6 +256,28 @@ void BenchGraph(const std::string& name, const graph::Graph& g, int repeats,
          results)
       .waves = static_cast<int64_t>(hybrid_waves);
 
+  // --- edge_rank_hybrid_t1 / _t2 / _tall: the same ranking at 1 and 2
+  // threads and at every hardware thread, so its thread scaling is a
+  // series of its own (DESIGN.md §12, "Sweeps within a wave"). ---
+  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
+  const std::pair<const char*, int> pinned_counts[] = {
+      {"edge_rank_hybrid_t1", 1},
+      {"edge_rank_hybrid_t2", 2},
+      {"edge_rank_hybrid_tall", static_cast<int>(hardware)}};
+  for (const auto& [op, threads] : pinned_counts) {
+    analytics::BetweennessOptions pinned = fast;
+    pinned.threads = threads;
+    BenchResult& result = TimeOp(
+        name, g, op, repeats,
+        [&]() {
+          auto ranked = analytics::EdgesByBetweennessDescending(g, pinned);
+          EDGESHED_CHECK_EQ(ranked.size(), g.NumEdges());
+        },
+        results);
+    result.waves = static_cast<int64_t>(hybrid_waves);
+    result.threads = threads;
+  }
+
   // --- crr_reduce / crr_reduce_traced: random init isolates the Phase-2
   // swap loop (ranking is timed separately above). The traced variant wraps
   // the same reduction in a live Tracer span and typed-metrics recording,
@@ -374,6 +400,7 @@ void WriteJson(const std::string& path, const std::string& rev, int repeats,
       std::fprintf(out, ", \"waves\": %lld",
                    static_cast<long long>(r.waves));
     }
+    if (r.threads >= 0) std::fprintf(out, ", \"threads\": %d", r.threads);
     std::fprintf(out, "}%s\n", i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");

@@ -27,13 +27,8 @@ inline void ClearBit(std::vector<uint64_t>& bits, graph::NodeId v) {
   bits[v >> 6] &= ~(uint64_t{1} << (v & 63));
 }
 
-/// Per-thread scratch for Brandes source sweeps. The per-sweep vectors are
-/// reset by every sweep; the accumulator pair persists across sweeps (and
-/// adaptive waves) and is allocated lazily on the first sweep, so a
-/// partition cancelled before it starts never pays the O(|V|+|E|)
-/// zero-fill.
-struct BrandesScratch {
-  // Per-sweep state.
+/// Per-thread state of Brandes source sweeps, reset by every sweep.
+struct SweepState {
   std::vector<int32_t> dist;
   std::vector<double> sigma;   // shortest-path counts
   std::vector<double> delta;   // dependency accumulator
@@ -44,22 +39,31 @@ struct BrandesScratch {
   std::vector<graph::NodeId> candidates;  // still-unvisited, ascending
   std::vector<uint64_t> visited_bits;
   std::vector<uint64_t> frontier_bits;
-  // Partial accumulators (persist across sweeps within one partition).
-  std::vector<double> node_acc;
-  std::vector<double> edge_acc;
+};
 
-  void EnsureAccumulators(uint64_t num_nodes, uint64_t num_edges) {
-    if (node_acc.empty()) {
-      node_acc.assign(num_nodes, 0.0);
-      edge_acc.assign(num_edges, 0.0);
-    }
+/// Dense score accumulators: a source stripe's partial sums (persisting
+/// across its sweeps and across adaptive waves), or one sweep's own buffer
+/// inside a wave. Allocated lazily on the first sweep, so a stripe
+/// cancelled before it starts never pays the O(|V|+|E|) zero-fill. `node`
+/// stays empty when node scores are not wanted.
+struct Accumulators {
+  std::vector<double> node;
+  std::vector<double> edge;
+  bool allocated = false;
+
+  void Ensure(uint64_t num_nodes, uint64_t num_edges, bool node_scores) {
+    if (allocated) return;
+    allocated = true;
+    edge.assign(num_edges, 0.0);
+    if (node_scores) node.assign(num_nodes, 0.0);
   }
 };
 
-/// One level-synchronous Brandes sweep from `source`, accumulating into the
-/// scratch's partials. Returns false when the cancellation token tripped
-/// (polled once per BFS level, both directions); the partials are then
-/// garbage and the caller must discard the whole run.
+/// One level-synchronous Brandes sweep from `source`, adding into `acc` at
+/// most one term per edge and one per reached vertex. Returns false when
+/// the cancellation token tripped (polled once per BFS level, both
+/// directions); the accumulators are then garbage and the caller must
+/// discard the whole run.
 ///
 /// Canonical ordering contract: every level of the forward BFS is kept
 /// sorted by ascending vertex id (top-down levels are rebuilt ascending
@@ -72,7 +76,7 @@ struct BrandesScratch {
 /// kernels bit-identical (DESIGN.md §12).
 bool BrandesFromSource(const graph::Graph& g, graph::NodeId source,
                        const BetweennessOptions& options,
-                       BrandesScratch* scratch) {
+                       SweepState* scratch, Accumulators* acc) {
   const uint64_t n = g.NumNodes();
   const uint64_t words = (n + 63) / 64;
   const bool hybrid = options.kernel == BetweennessOptions::Kernel::kHybrid;
@@ -224,7 +228,7 @@ bool BrandesFromSource(const graph::Graph& g, graph::NodeId source,
           if (dist[v] + 1 != succ_level) continue;  // not a predecessor
           const double contribution = sigma[v] * cw;
           delta[v] += contribution;
-          scratch->edge_acc[incident[j]] += contribution;
+          acc->edge[incident[j]] += contribution;
         }
       }
     } else {
@@ -238,21 +242,23 @@ bool BrandesFromSource(const graph::Graph& g, graph::NodeId source,
           if (dist[w] != succ_level) continue;  // not a successor
           const double contribution = sigma_v * coeff[w];
           delta[v] += contribution;
-          scratch->edge_acc[incident[j]] += contribution;
+          acc->edge[incident[j]] += contribution;
         }
       }
     }
   }
-  for (uint64_t i = 1; i < order.size(); ++i) {  // skip the source itself
-    const graph::NodeId w = order[i];
-    scratch->node_acc[w] += delta[w];
+  if (!acc->node.empty()) {
+    for (uint64_t i = 1; i < order.size(); ++i) {  // skip the source itself
+      const graph::NodeId w = order[i];
+      acc->node[w] += delta[w];
+    }
   }
   return true;
 }
 
 /// Brandes sweeps of one run, before the striped partials are merged.
 struct SweepRun {
-  std::vector<BrandesScratch> partials;
+  std::vector<Accumulators> partials;
   uint64_t processed = 0;
   uint64_t waves = 0;
   /// Halves the directed double count and applies the sampling rescale.
@@ -269,8 +275,8 @@ template <typename Emit>
 void ForEachMergedEdge(const SweepRun& run, uint64_t m, int threads,
                        Emit&& emit) {
   std::vector<const double*> swept;
-  for (const BrandesScratch& partial : run.partials) {
-    if (!partial.edge_acc.empty()) swept.push_back(partial.edge_acc.data());
+  for (const Accumulators& partial : run.partials) {
+    if (!partial.edge.empty()) swept.push_back(partial.edge.data());
   }
   ParallelFor(
       0, m,
@@ -320,10 +326,103 @@ std::pair<uint64_t, uint64_t> SelectKey(const std::vector<uint64_t>& keys,
   }
 }
 
+/// Adds each `from` buffer into its `into` partial, in list order per
+/// index, and zeroes the buffers for reuse. Blocked so a block of the
+/// partial stays in L1 while the buffers stream past it.
+struct Fold {
+  double* into;
+  double* from;
+};
+void FoldBuffers(const std::vector<Fold>& folds, uint64_t size, int threads) {
+  if (folds.empty()) return;
+  ParallelFor(
+      0, size,
+      [&folds](uint64_t begin, uint64_t end) {
+        constexpr uint64_t kBlock = 512;
+        for (uint64_t block = begin; block < end; block += kBlock) {
+          const uint64_t block_end = std::min(end, block + kBlock);
+          for (const Fold& fold : folds) {
+            for (uint64_t i = block; i < block_end; ++i) {
+              fold.into[i] += fold.from[i];
+              fold.from[i] = 0.0;
+            }
+          }
+        }
+      },
+      threads);
+}
+
+/// Runs one wave's sweeps side by side, in rounds of up to `threads`
+/// sources (DESIGN.md §12, "Sweeps within a wave"). In a round, the first
+/// sweep of each stripe adds straight into the stripe's partial and every
+/// later one into a dense buffer of its own; after the round the buffers
+/// are folded into their partials in source order and zeroed. A sweep adds
+/// at most one term per edge and per vertex, so partial + buffer makes
+/// exactly the additions the sweep would have made in the partial itself,
+/// in the same order, and the zeros it did not write leave the non-negative
+/// partial as it was. Isolated sources add nothing and are skipped. Returns
+/// false when the cancellation token tripped.
+bool SweepWithinWave(const graph::Graph& g, const BetweennessOptions& options,
+                     const std::vector<graph::NodeId>& sources,
+                     uint64_t wave_begin, uint64_t wave_end,
+                     const std::vector<uint64_t>& stripe_of, bool node_scores,
+                     int threads, SweepRun* run,
+                     std::vector<SweepState>* states,
+                     std::vector<Accumulators>* buffers) {
+  const uint64_t n = g.NumNodes();
+  const uint64_t m = g.NumEdges();
+  std::vector<uint64_t> swept;  // positions in `sources`, ascending
+  for (uint64_t i = wave_begin; i < wave_end; ++i) {
+    run->partials[stripe_of[i]].Ensure(n, m, node_scores);
+    if (g.Degree(sources[i]) > 0) swept.push_back(i);
+  }
+  const uint64_t slots =
+      std::min<uint64_t>(swept.size(), static_cast<uint64_t>(threads));
+  if (states->size() < slots) states->resize(slots);
+  if (buffers->size() < slots) buffers->resize(slots);
+  std::vector<Accumulators*> targets(slots);
+  std::vector<Fold> edge_folds;
+  std::vector<Fold> node_folds;
+  for (uint64_t round = 0; round < swept.size(); round += slots) {
+    const uint64_t count = std::min<uint64_t>(slots, swept.size() - round);
+    for (uint64_t k = 0; k < count; ++k) {
+      const uint64_t i = swept[round + k];
+      const bool stripe_first =
+          k == 0 || stripe_of[swept[round + k - 1]] != stripe_of[i];
+      targets[k] =
+          stripe_first ? &run->partials[stripe_of[i]] : &(*buffers)[k];
+    }
+    ParallelForEach(
+        0, count,
+        [&](uint64_t k) {
+          targets[k]->Ensure(n, m, node_scores);
+          BrandesFromSource(g, sources[swept[round + k]], options,
+                            &(*states)[k], targets[k]);
+        },
+        threads, /*grain=*/1);
+    if (CancellationRequested(options.cancel)) return false;
+    edge_folds.clear();
+    node_folds.clear();
+    for (uint64_t k = 0; k < count; ++k) {
+      Accumulators& partial = run->partials[stripe_of[swept[round + k]]];
+      if (targets[k] == &partial) continue;
+      edge_folds.push_back({partial.edge.data(), targets[k]->edge.data()});
+      if (node_scores) {
+        node_folds.push_back({partial.node.data(), targets[k]->node.data()});
+      }
+    }
+    FoldBuffers(edge_folds, m, threads);
+    FoldBuffers(node_folds, n, threads);
+  }
+  return true;
+}
+
 /// Runs the (possibly wave-scheduled) sweeps. Returns nullopt when the
-/// cancellation token tripped; the partials are garbage then.
+/// cancellation token tripped; the partials are garbage then. Node scores
+/// are accumulated only when `node_scores` is set.
 std::optional<SweepRun> RunSweeps(const graph::Graph& g,
-                                  const BetweennessOptions& options) {
+                                  const BetweennessOptions& options,
+                                  bool node_scores) {
   const uint64_t n = g.NumNodes();
   const uint64_t m = g.NumEdges();
   std::vector<graph::NodeId> sources;
@@ -370,28 +469,57 @@ std::optional<SweepRun> RunSweeps(const graph::Graph& g,
   std::vector<uint64_t> top_k;
   std::vector<uint64_t> prev_top_k;
 
+  // A wave smaller than the whole run can sit inside fewer stripes than
+  // there are threads (each FastRanking wave of 8 sits inside one stripe
+  // of 16); its sweeps then run side by side (SweepWithinWave).
+  const int threads =
+      options.threads > 0 ? options.threads : DefaultThreadCount();
+  std::vector<uint64_t> stripe_of;
+  std::vector<SweepState> states(num_partials);
+  std::vector<Accumulators> wave_buffers;
+  if (wave_size < total) {
+    stripe_of.resize(total);
+    for (uint64_t part = 0; part < num_partials; ++part) {
+      std::fill(stripe_of.begin() + total * part / num_partials,
+                stripe_of.begin() + total * (part + 1) / num_partials, part);
+    }
+  }
+
   while (run.processed < total) {
     const uint64_t wave_begin = run.processed;
     const uint64_t wave_end = std::min(total, wave_begin + wave_size);
-    ParallelForEach(
-        0, num_partials,
-        [&](uint64_t part) {
-          BrandesScratch& scratch = run.partials[part];
-          const uint64_t stripe_first = total * part / num_partials;
-          const uint64_t stripe_last = total * (part + 1) / num_partials;
-          const uint64_t first = std::max(stripe_first, wave_begin);
-          const uint64_t last = std::min(stripe_last, wave_end);
-          if (first >= last) return;
-          scratch.EnsureAccumulators(n, m);
-          for (uint64_t i = first; i < last; ++i) {
-            // Cancellation is polled per BFS level inside the sweep; a
-            // tripped token abandons the partition and the caller discards
-            // the whole run.
-            if (!BrandesFromSource(g, sources[i], options, &scratch)) return;
-          }
-        },
-        options.threads, /*grain=*/1);
-    if (CancellationRequested(options.cancel)) return std::nullopt;
+    if (!stripe_of.empty() &&
+        stripe_of[wave_end - 1] - stripe_of[wave_begin] + 1 <
+            static_cast<uint64_t>(threads)) {
+      if (!SweepWithinWave(g, options, sources, wave_begin, wave_end,
+                           stripe_of, node_scores, threads, &run, &states,
+                           &wave_buffers)) {
+        return std::nullopt;
+      }
+    } else {
+      ParallelForEach(
+          0, num_partials,
+          [&](uint64_t part) {
+            Accumulators& partial = run.partials[part];
+            const uint64_t stripe_first = total * part / num_partials;
+            const uint64_t stripe_last = total * (part + 1) / num_partials;
+            const uint64_t first = std::max(stripe_first, wave_begin);
+            const uint64_t last = std::min(stripe_last, wave_end);
+            if (first >= last) return;
+            partial.Ensure(n, m, node_scores);
+            for (uint64_t i = first; i < last; ++i) {
+              // Cancellation is polled per BFS level inside the sweep; a
+              // tripped token abandons the partition and the caller
+              // discards the whole run.
+              if (!BrandesFromSource(g, sources[i], options, &states[part],
+                                     &partial)) {
+                return;
+              }
+            }
+          },
+          options.threads, /*grain=*/1);
+      if (CancellationRequested(options.cancel)) return std::nullopt;
+    }
     run.processed = wave_end;
     ++run.waves;
     if (run.processed >= total) break;
@@ -459,7 +587,7 @@ BetweennessScores Betweenness(const graph::Graph& g,
   scores.node.assign(n, 0.0);
   scores.edge.assign(m, 0.0);
   if (n == 0) return scores;
-  std::optional<SweepRun> run = RunSweeps(g, options);
+  std::optional<SweepRun> run = RunSweeps(g, options, /*node_scores=*/true);
   if (!run.has_value()) return scores;
 
   // Range-partitioned merge: each index is owned by exactly one chunk, and
@@ -470,9 +598,9 @@ BetweennessScores Betweenness(const graph::Graph& g,
       [&](uint64_t begin, uint64_t end) {
         for (uint64_t u = begin; u < end; ++u) {
           double acc = 0.0;
-          for (const BrandesScratch& partial : run->partials) {
-            if (partial.node_acc.empty()) continue;
-            acc += partial.node_acc[u];
+          for (const Accumulators& partial : run->partials) {
+            if (partial.node.empty()) continue;
+            acc += partial.node[u];
           }
           scores.node[u] = acc * run->factor;
         }
@@ -491,7 +619,7 @@ std::vector<graph::EdgeId> EdgesByBetweennessDescending(
   const uint64_t m = g.NumEdges();
   std::vector<graph::EdgeId> ids(m);
   std::optional<SweepRun> run;
-  if (g.NumNodes() > 0) run = RunSweeps(g, options);
+  if (g.NumNodes() > 0) run = RunSweeps(g, options, /*node_scores=*/false);
   // No nodes, or cancelled: skip the ranking. A cancelled one is garbage
   // either way and the caller must check the token before trusting it.
   if (!run.has_value() || CancellationRequested(options.cancel)) {

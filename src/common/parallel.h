@@ -7,7 +7,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -19,11 +18,25 @@ namespace edgeshed {
 /// between parallel regions.
 int DefaultThreadCount();
 
+namespace internal {
+
+/// Runs `run(context)` on the calling thread and, at the same time, on up to
+/// `helpers` workers of the process-wide pool, and returns once every one of
+/// those calls has returned. The caller always runs it, so a region never
+/// waits for a free worker: workers busy elsewhere (another region, a nested
+/// one) are simply not enlisted. `run` must be safe to call concurrently and
+/// must not throw.
+void RunOnPool(uint64_t helpers, void (*run)(void*), void* context);
+
+}  // namespace internal
+
 /// Runs `body(chunk_begin, chunk_end)` over disjoint chunks of
-/// [begin, end) across up to `threads` workers (0 = DefaultThreadCount()).
-/// Blocks until all chunks complete. `body` must be safe to run concurrently
-/// on disjoint ranges. Ranges smaller than `grain` items per worker run
-/// inline on the calling thread, so tiny inputs pay no thread-spawn cost.
+/// [begin, end) on up to `threads` threads (0 = DefaultThreadCount()): the
+/// calling thread plus workers of a persistent pool (DESIGN.md §8,
+/// "Threading model"). Blocks until all chunks complete. `body` must be safe
+/// to run concurrently on disjoint ranges. Ranges smaller than `grain` items
+/// per thread run inline on the calling thread. A body may itself call
+/// ParallelFor, and several threads may run regions at once.
 ///
 /// This templated overload is the hot-path entry point: the body is invoked
 /// directly with no std::function type erasure. Chunks are pulled off a
@@ -47,18 +60,17 @@ void ParallelFor(uint64_t begin, uint64_t end, Body&& body, int threads = 0,
   }
   const uint64_t chunk = std::max<uint64_t>(grain, total / (usable * 8));
   std::atomic<uint64_t> next(begin);
-  std::vector<std::thread> workers;
-  workers.reserve(usable);
-  for (uint64_t t = 0; t < usable; ++t) {
-    workers.emplace_back([&next, &body, end, chunk]() {
-      for (;;) {
-        const uint64_t chunk_begin = next.fetch_add(chunk);
-        if (chunk_begin >= end) return;
-        body(chunk_begin, std::min(end, chunk_begin + chunk));
-      }
-    });
-  }
-  for (auto& worker : workers) worker.join();
+  auto pull = [&next, &body, end, chunk]() {
+    for (;;) {
+      const uint64_t chunk_begin = next.fetch_add(chunk);
+      if (chunk_begin >= end) return;
+      body(chunk_begin, std::min(end, chunk_begin + chunk));
+    }
+  };
+  internal::RunOnPool(
+      usable - 1,
+      [](void* context) noexcept { (*static_cast<decltype(pull)*>(context))(); },
+      &pull);
 }
 
 /// Convenience wrapper: calls `body(i)` for each i in [begin, end) in

@@ -263,6 +263,8 @@ struct PinnedShed {
   uint64_t kept_hash;
   double total_delta;
   uint64_t swaps_accepted;
+  /// Ranks with sampled FastRanking waves instead of exact Brandes.
+  bool sampled = false;
 };
 
 // Pins Crr's output across revisions, not just across two runs of one build
@@ -279,10 +281,16 @@ TEST(CrrTest, OutputPinnedAcrossRevisions) {
       {"ba", &ba, 0.5, 9243588337596389722ull, 507.0, 1962},
       {"rmat", &rmat, 0.3, 2486524392862904303ull, 535.39999999999372, 3262},
       {"rmat", &rmat, 0.5, 12102480193584309317ull, 522.0, 3038},
+      // 256 sampled sources in FastRanking waves of 8: the first waves sit
+      // inside one source stripe and run their sweeps side by side.
+      {"rmat sampled", &rmat, 0.5, 16205879990423960054ull, 523.0, 3113,
+       /*sampled=*/true},
   };
   for (const PinnedShed& want : pinned) {
     SCOPED_TRACE(std::string(want.name) + " p=" + std::to_string(want.p));
-    auto result = Crr().Shed(*want.graph, {.p = want.p, .seed = 42});
+    CrrOptions options;
+    if (want.sampled) options.betweenness.exact_node_threshold = 1024;
+    auto result = Crr(options).Shed(*want.graph, {.p = want.p, .seed = 42});
     ASSERT_TRUE(result.ok());
     const auto stat = [&](const std::string& key) {
       for (const auto& [name, value] : result->stats) {
