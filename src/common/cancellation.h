@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 
 #include "common/status.h"
 
@@ -43,10 +44,24 @@ class CancellationToken {
   /// deadline expiry in `ToStatus()`.
   void Cancel() { cancelled_.store(true, std::memory_order_relaxed); }
 
+  /// Makes the token cancel itself on its `poll`-th Triggered() call from
+  /// now on, so a test can stop a kernel at an exact check point (0
+  /// disarms). Arm it before any other thread polls. While armed, Polls()
+  /// counts every Triggered() call, including those after the trip.
+  void CancelOnPoll(uint64_t poll) {
+    cancel_on_poll_ = poll;
+    polls_.store(0, std::memory_order_relaxed);
+  }
+  uint64_t Polls() const { return polls_.load(std::memory_order_relaxed); }
+
   /// True once the token was cancelled or its deadline passed. Cheap: one
   /// relaxed atomic load, plus a clock read only while an unexpired deadline
-  /// is armed.
+  /// is armed (and a counter bump while CancelOnPoll is armed).
   bool Triggered() const {
+    if (cancel_on_poll_ != 0 &&
+        polls_.fetch_add(1, std::memory_order_relaxed) + 1 >= cancel_on_poll_) {
+      cancelled_.store(true, std::memory_order_relaxed);
+    }
     if (cancelled_.load(std::memory_order_relaxed)) return true;
     if (!has_deadline_) return false;
     if (!deadline_hit_.load(std::memory_order_relaxed) &&
@@ -68,8 +83,10 @@ class CancellationToken {
   }
 
  private:
-  std::atomic<bool> cancelled_{false};
+  mutable std::atomic<bool> cancelled_{false};  // set by a CancelOnPoll trip
   mutable std::atomic<bool> deadline_hit_{false};
+  mutable std::atomic<uint64_t> polls_{0};
+  uint64_t cancel_on_poll_ = 0;
   Clock::time_point deadline_ = Clock::time_point::max();
   bool has_deadline_ = false;
 };

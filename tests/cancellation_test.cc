@@ -59,6 +59,17 @@ TEST(CancellationTokenTest, MaxDeadlineMeansNone) {
   EXPECT_TRUE(token.ToStatus().ok());
 }
 
+TEST(CancellationTokenTest, CancelOnPollTripsOnThatPoll) {
+  CancellationToken token;
+  token.CancelOnPoll(3);
+  EXPECT_FALSE(token.Triggered());
+  EXPECT_FALSE(token.Triggered());
+  EXPECT_TRUE(token.Triggered());
+  EXPECT_TRUE(token.Triggered());
+  EXPECT_EQ(token.Polls(), 4u);
+  EXPECT_EQ(token.ToStatus().code(), StatusCode::kCancelled);
+}
+
 TEST(CancellationTokenTest, DeadlineLatchesOnceObserved) {
   CancellationToken token(Clock::now());
   // First observation latches; every later observation reports triggered
