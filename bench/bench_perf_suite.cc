@@ -1,7 +1,8 @@
 // Hot-path performance-regression suite (ISSUE 2, extended by ISSUE 7).
 //
 // Times the ingest-to-shed pipeline stages — edge-list load, CSR build,
-// betweenness ranking (classic and hybrid fast path), CRR and BM2 reduction —
+// betweenness ranking (classic and hybrid fast path, and the ranking's final
+// order alone), CRR and BM2 reduction —
 // on generated R-MAT and Barabási–Albert graphs at two sizes, and emits
 // machine-readable medians to BENCH_hotpath.json. tools/compare_bench.py
 // diffs two such files and flags >10% regressions; .github/workflows/ci.yml
@@ -276,6 +277,39 @@ void BenchGraph(const std::string& name, const graph::Graph& g, int repeats,
         results);
     result.waves = static_cast<int64_t>(hybrid_waves);
     result.threads = threads;
+  }
+
+  // --- rank_order_t1 / _t2 / _tall: the ranking's final order alone — the
+  // stable sort of the (key, id) pairs and the id projection
+  // (analytics::EdgeIdsByKey) — on this graph's real ranking keys, at the
+  // same thread counts. Each sample sorts a fresh copy; only the sort and
+  // the projection are timed. ---
+  const analytics::BetweennessScores ranked_scores =
+      analytics::Betweenness(g, fast);
+  std::vector<analytics::KeyedEdge> ranking_keys(g.NumEdges());
+  for (graph::EdgeId e = 0; e < g.NumEdges(); ++e) {
+    ranking_keys[e] = {
+        analytics::DescendingScoreKey(ranked_scores.edge[e]), e};
+  }
+  const std::vector<graph::EdgeId> expected_order =
+      analytics::EdgesByBetweennessDescending(g, fast);
+  const std::pair<const char*, int> order_counts[] = {
+      {"rank_order_t1", 1},
+      {"rank_order_t2", 2},
+      {"rank_order_tall", static_cast<int>(hardware)}};
+  for (const auto& [op, threads] : order_counts) {
+    std::vector<double> samples;
+    for (int r = 0; r <= repeats; ++r) {  // sample 0 is the warm-up
+      std::vector<analytics::KeyedEdge> keyed = ranking_keys;
+      Stopwatch watch;
+      const std::vector<graph::EdgeId> order =
+          analytics::EdgeIdsByKey(&keyed, threads);
+      const double seconds = watch.ElapsedSeconds();
+      EDGESHED_CHECK(order == expected_order) << op << " changed the order";
+      if (r > 0) samples.push_back(seconds);
+    }
+    results->push_back(MakeResult(name, g, op, samples));
+    results->back().threads = threads;
   }
 
   // --- crr_reduce / crr_reduce_traced: random init isolates the Phase-2

@@ -299,27 +299,59 @@ void ForEachMergedEdge(const SweepRun& run, uint64_t m, int threads,
 /// keys equal to it sort at or before that position — the ties a cut of the
 /// first rank+1 keys takes. A radix select over 16-bit digits: each level
 /// histograms one digit of the keys still in play and keeps only the bucket
-/// that holds the rank, so no comparison sort runs at all.
+/// that holds the rank, so no comparison sort runs at all. A level that
+/// still reads every key counts and gathers per chunk on `threads` threads;
+/// the deeper levels read one bucket's keys and stay serial.
 std::pair<uint64_t, uint64_t> SelectKey(const std::vector<uint64_t>& keys,
-                                        uint64_t rank) {
-  std::vector<size_t> counts(size_t{1} << 16);
+                                        uint64_t rank, int threads) {
+  constexpr size_t kBuckets = size_t{1} << 16;
+  std::vector<uint32_t> per_chunk;  // every level's histograms, reused
   std::vector<uint64_t> pool;  // the keys that share every digit fixed so far
   const uint64_t* begin = keys.data();
   size_t size = keys.size();
   uint64_t prefix = 0;
   for (int shift = 48;; shift -= 16) {
-    std::fill(counts.begin(), counts.end(), 0);
-    for (size_t i = 0; i < size; ++i) ++counts[(begin[i] >> shift) & 0xFFFF];
-    uint64_t bucket = 0;
-    while (rank >= counts[bucket]) rank -= counts[bucket++];
-    prefix |= bucket << shift;
-    if (shift == 0) return {prefix, rank + 1};
-    if (counts[bucket] == size) continue;  // every key shares this digit
-    std::vector<uint64_t> next;
-    next.reserve(counts[bucket]);
-    for (size_t i = 0; i < size; ++i) {
-      if (((begin[i] >> shift) & 0xFFFF) == bucket) next.push_back(begin[i]);
+    const size_t chunks =
+        begin == keys.data() ? RadixChunkCount(size, kBuckets, threads) : 1;
+    auto digit = [shift](uint64_t key) {
+      return static_cast<size_t>((key >> shift) & (kBuckets - 1));
+    };
+    CountDigitsPerChunk(begin, size, chunks, kBuckets, digit, threads,
+                        &per_chunk);
+    size_t bucket = 0;
+    uint64_t in_bucket = 0;
+    for (;; ++bucket) {
+      in_bucket = per_chunk[bucket];
+      for (size_t c = 1; c < chunks; ++c) {
+        in_bucket += per_chunk[c * kBuckets + bucket];
+      }
+      if (rank < in_bucket) break;
+      rank -= in_bucket;
     }
+    prefix |= uint64_t{bucket} << shift;
+    if (shift == 0) return {prefix, rank + 1};
+    if (in_bucket == size) continue;  // every key shares this digit
+    // Chunk c gathers its keys of the bucket after those of chunks < c.
+    std::vector<size_t> at(chunks);
+    for (size_t c = 1; c < chunks; ++c) {
+      at[c] = at[c - 1] + per_chunk[(c - 1) * kBuckets + bucket];
+    }
+    std::vector<uint64_t> next(in_bucket);
+    ParallelForEach(
+        0, chunks,
+        [&](uint64_t c) {
+          // Locals, not captures: a uint64_t store could alias a captured
+          // size_t, which would then be reloaded for every key.
+          uint64_t* out = next.data() + at[c];
+          const uint64_t* key = begin + RadixChunkBegin(size, chunks, c);
+          const uint64_t* end = begin + RadixChunkBegin(size, chunks, c + 1);
+          const uint64_t wanted = uint64_t{bucket} << shift;
+          const uint64_t mask = uint64_t{kBuckets - 1} << shift;
+          for (; key != end; ++key) {
+            if ((*key & mask) == wanted) *out++ = *key;
+          }
+        },
+        threads, /*grain=*/1);
     pool.swap(next);
     begin = pool.data();
     size = pool.size();
@@ -530,7 +562,7 @@ std::optional<SweepRun> RunSweeps(const graph::Graph& g,
     ForEachMergedEdge(run, m, options.threads, [&](uint64_t e, double sum) {
       wave_keys[e] = DescendingScoreKey(sum);
     });
-    MarkTopKEdges(wave_keys, wave_top_k, &top_k);
+    MarkTopKEdges(wave_keys, wave_top_k, &top_k, threads);
     if (!prev_top_k.empty()) {
       uint64_t shared = 0;
       for (size_t w = 0; w < top_k.size(); ++w) {
@@ -560,14 +592,14 @@ uint64_t DescendingScoreKey(double score) {
 }
 
 void MarkTopKEdges(const std::vector<uint64_t>& keys, uint64_t k,
-                   std::vector<uint64_t>* top) {
+                   std::vector<uint64_t>* top, int threads) {
   const uint64_t m = keys.size();
   top->assign((m + 63) / 64, 0);
   k = std::min(k, m);
   if (k == 0) return;
   // Every key below the threshold is in; the remaining slots go to keys
   // equal to it in ascending id order, which one ascending scan gives.
-  auto [threshold, ties] = SelectKey(keys, k - 1);
+  auto [threshold, ties] = SelectKey(keys, k - 1, threads);
   for (uint64_t e = 0; e < m; ++e) {
     const uint64_t key = keys[e];
     bool take = key < threshold;
@@ -614,15 +646,29 @@ BetweennessScores Betweenness(const graph::Graph& g,
   return scores;
 }
 
+std::vector<graph::EdgeId> EdgeIdsByKey(std::vector<KeyedEdge>* keyed,
+                                        int threads) {
+  StableRadixSort(
+      keyed, [](const KeyedEdge& edge) { return edge.key; }, threads);
+  std::vector<graph::EdgeId> ids(keyed->size());
+  ParallelFor(
+      0, ids.size(),
+      [&](uint64_t begin, uint64_t end) {
+        for (uint64_t i = begin; i < end; ++i) ids[i] = (*keyed)[i].id;
+      },
+      threads);
+  return ids;
+}
+
 std::vector<graph::EdgeId> EdgesByBetweennessDescending(
     const graph::Graph& g, const BetweennessOptions& options) {
   const uint64_t m = g.NumEdges();
-  std::vector<graph::EdgeId> ids(m);
   std::optional<SweepRun> run;
   if (g.NumNodes() > 0) run = RunSweeps(g, options, /*node_scores=*/false);
   // No nodes, or cancelled: skip the ranking. A cancelled one is garbage
   // either way and the caller must check the token before trusting it.
   if (!run.has_value() || CancellationRequested(options.cancel)) {
+    std::vector<graph::EdgeId> ids(m);
     std::iota(ids.begin(), ids.end(), graph::EdgeId{0});
     return ids;
   }
@@ -630,23 +676,12 @@ std::vector<graph::EdgeId> EdgesByBetweennessDescending(
   // never stored), in ascending id order, so the stable radix sort leaves
   // ties by ascending id: the unique (score desc, id asc) order, whatever
   // the thread count.
-  struct KeyedEdge {
-    uint64_t key;
-    graph::EdgeId id;
-  };
   std::vector<KeyedEdge> keyed(m);
   ForEachMergedEdge(*run, m, options.threads, [&](uint64_t e, double sum) {
     keyed[e] = KeyedEdge{DescendingScoreKey(sum * run->factor), e};
   });
   run.reset();  // the partials are no longer needed; free them before sorting
-  StableRadixSort(&keyed, [](const KeyedEdge& edge) { return edge.key; });
-  ParallelFor(
-      0, m,
-      [&](uint64_t begin, uint64_t end) {
-        for (uint64_t i = begin; i < end; ++i) ids[i] = keyed[i].id;
-      },
-      options.threads);
-  return ids;
+  return EdgeIdsByKey(&keyed, options.threads);
 }
 
 }  // namespace edgeshed::analytics

@@ -115,6 +115,19 @@ BetweennessScores Betweenness(const graph::Graph& g,
 std::vector<graph::EdgeId> EdgesByBetweennessDescending(
     const graph::Graph& g, const BetweennessOptions& options = {});
 
+/// An edge's ranking key (DescendingScoreKey of its score) and its id.
+struct KeyedEdge {
+  uint64_t key;
+  graph::EdgeId id;
+};
+
+/// The final step of EdgesByBetweennessDescending: sorts `keyed` stably by
+/// key (StableRadixSort on up to `threads` threads, 0 = default) and
+/// returns the ids in that order. Given in ascending id order, the pairs
+/// come out in (key asc, id asc) order.
+std::vector<graph::EdgeId> EdgeIdsByKey(std::vector<KeyedEdge>* keyed,
+                                        int threads = 0);
+
 /// Order-preserving 64-bit key of a non-negative score (betweenness is
 /// never negative): a higher score gets a smaller key and equal scores
 /// (0.0 and -0.0 included) get equal keys, so ascending (key, id) order is
@@ -125,8 +138,10 @@ uint64_t DescendingScoreKey(double score);
 /// marks the min(k, keys.size()) edges first in ascending (key, id) order:
 /// the top-k of the ranking, with ties at the threshold going to the lowest
 /// ids. The adaptive-wave stop check compares consecutive waves with it.
+/// The first selection level counts on up to `threads` threads (0 =
+/// DefaultThreadCount()); the bitmap is the same at every thread count.
 void MarkTopKEdges(const std::vector<uint64_t>& keys, uint64_t k,
-                   std::vector<uint64_t>* top);
+                   std::vector<uint64_t>* top, int threads = 0);
 
 }  // namespace edgeshed::analytics
 

@@ -99,7 +99,7 @@ StatusOr<SheddingResult> Crr::Shed(const graph::Graph& g,
   for (uint64_t i = 0; i < run.target; ++i) {
     result.kept_edges[i] = run.slots[i].id;
   }
-  RadixSortWords(&result.kept_edges);
+  RadixSortWords(&result.kept_edges, shed_options.threads);
   result.total_delta = run.discrepancy.TotalDelta();
   result.average_delta = run.discrepancy.AverageDelta();
   result.reduction_seconds = total_watch.ElapsedSeconds();

@@ -61,7 +61,7 @@ DynamicShedResult ShedSession::BuildResult(uint64_t version) const {
       ranks.push_back(
           static_cast<uint32_t>(((key >> 32) << 16) | (key & 0xFFFFull)));
     }
-    RadixSortWords(&ranks);
+    RadixSortWords(&ranks, options_.threads);
     for (const uint32_t rank : ranks) {
       result.kept.push_back(
           graph::Edge{static_cast<graph::NodeId>(rank >> 16),
@@ -73,7 +73,7 @@ DynamicShedResult ShedSession::BuildResult(uint64_t version) const {
     for (uint64_t i = 0; i < order_target_; ++i) {
       keys.push_back(order_[i].key);
     }
-    RadixSortWords(&keys);
+    RadixSortWords(&keys, options_.threads);
     for (const uint64_t key : keys) {
       result.kept.push_back(
           graph::Edge{static_cast<graph::NodeId>(key >> 32),

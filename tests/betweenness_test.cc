@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <numeric>
@@ -619,19 +620,33 @@ TEST(RankingPrimitivesTest, MarkTopKEdgesMatchesNthElementSelection) {
   std::vector<double> scores(5000);
   for (double& s : scores) s = static_cast<double>(gen() % 5) * 0.5;
   std::vector<double> all_equal(3000, 1.25);
-  for (const auto* input : {&scores, &all_equal}) {
+  // Enough edges that the first selection level counts in several chunks:
+  // spread scores, and scores that share their top 32 key bits so the
+  // deeper levels also read every key.
+  std::vector<double> spread(70000);
+  for (double& s : spread) s = static_cast<double>(gen() % 4000) * 0.25;
+  std::vector<double> close(70000);
+  for (double& s : close) {
+    s = 1.0 + std::ldexp(static_cast<double>(gen() % 9), -40);
+  }
+  for (const auto* input : {&scores, &all_equal, &spread, &close}) {
     std::vector<uint64_t> keys(input->size());
     for (size_t e = 0; e < keys.size(); ++e) {
       keys[e] = DescendingScoreKey((*input)[e]);
     }
     for (uint64_t k : {uint64_t{0}, uint64_t{1}, uint64_t{17}, uint64_t{999},
                        uint64_t{2500}, uint64_t{2999}, uint64_t{3000},
-                       uint64_t{4999}, uint64_t{5000}, uint64_t{6000}}) {
-      SCOPED_TRACE(::testing::Message() << "m=" << keys.size() << " k=" << k);
-      std::vector<uint64_t> top;
-      MarkTopKEdges(keys, k, &top);
-      ASSERT_EQ(top.size(), (keys.size() + 63) / 64);
-      EXPECT_EQ(MarkedIds(top), ReferenceTopK(*input, k));
+                       uint64_t{4999}, uint64_t{5000}, uint64_t{6000},
+                       uint64_t{35001}, uint64_t{69999}}) {
+      const std::vector<uint64_t> expected = ReferenceTopK(*input, k);
+      for (int threads : {1, 2, 4}) {
+        SCOPED_TRACE(::testing::Message() << "m=" << keys.size() << " k=" << k
+                                          << " threads=" << threads);
+        std::vector<uint64_t> top;
+        MarkTopKEdges(keys, k, &top, threads);
+        ASSERT_EQ(top.size(), (keys.size() + 63) / 64);
+        EXPECT_EQ(MarkedIds(top), expected);
+      }
     }
   }
 }

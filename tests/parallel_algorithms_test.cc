@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <random>
@@ -11,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "analytics/betweenness.h"
 #include "common/radix_sort.h"
 
 namespace edgeshed {
@@ -163,16 +165,34 @@ std::vector<KeyedIndex> WithIndices(const std::vector<uint64_t>& keys) {
   return items;
 }
 
-/// The radix sort's contract: exactly std::stable_sort by key.
+/// The radix sort's contract: exactly std::stable_sort by key, at 1, 2 and
+/// 4 threads.
 void ExpectMatchesStableSort(const std::vector<uint64_t>& keys) {
   std::vector<KeyedIndex> expected = WithIndices(keys);
   std::stable_sort(expected.begin(), expected.end(),
                    [](const KeyedIndex& a, const KeyedIndex& b) {
                      return a.key < b.key;
                    });
-  std::vector<KeyedIndex> got = WithIndices(keys);
-  StableRadixSort(&got, [](const KeyedIndex& item) { return item.key; });
-  EXPECT_EQ(got, expected);
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    std::vector<KeyedIndex> got = WithIndices(keys);
+    StableRadixSort(
+        &got, [](const KeyedIndex& item) { return item.key; }, threads);
+    EXPECT_EQ(got, expected);
+  }
+}
+
+/// RadixSortWords against std::sort, at 1, 2 and 4 threads.
+template <typename Word>
+void ExpectWordsSorted(const std::vector<Word>& words) {
+  std::vector<Word> expected = words;
+  std::sort(expected.begin(), expected.end());
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    std::vector<Word> got = words;
+    RadixSortWords(&got, threads);
+    EXPECT_EQ(got, expected);
+  }
 }
 
 TEST(RadixSortTest, EmptyAndSingleElement) {
@@ -196,11 +216,13 @@ TEST(RadixSortTest, BelowTheFallbackSizeStaysStable) {
 }
 
 TEST(RadixSortTest, AllEqualKeysKeepPayloadOrder) {
-  // No digit varies, so no pass runs and the input order is the output.
-  const std::vector<uint64_t> keys(3 * kRadixSortMinSize, 0x5A5A5A5A5A5Aull);
-  std::vector<KeyedIndex> got = WithIndices(keys);
-  StableRadixSort(&got, [](const KeyedIndex& item) { return item.key; });
-  EXPECT_EQ(got, WithIndices(keys));
+  // No digit varies, so no pass (and, over the budget, no split) runs and
+  // the input order is the output.
+  for (size_t size :
+       {3 * kRadixSortMinSize, 2 * RadixSortBudget<KeyedIndex>() + 1}) {
+    const std::vector<uint64_t> keys(size, 0x5A5A5A5A5A5Aull);
+    ExpectMatchesStableSort(keys);
+  }
 }
 
 TEST(RadixSortTest, KeysWithTheTopBitSet) {
@@ -243,14 +265,60 @@ TEST(RadixSortTest, WordsMatchStdSort) {
   for (auto& word : narrow) word = static_cast<uint32_t>(gen() % 70000);
   std::vector<uint64_t> wide(50000);
   for (auto& word : wide) word = gen();
-  std::vector<uint32_t> narrow_expected = narrow;
-  std::sort(narrow_expected.begin(), narrow_expected.end());
-  std::vector<uint64_t> wide_expected = wide;
-  std::sort(wide_expected.begin(), wide_expected.end());
-  RadixSortWords(&narrow);
-  RadixSortWords(&wide);
-  EXPECT_EQ(narrow, narrow_expected);
-  EXPECT_EQ(wide, wide_expected);
+  ExpectWordsSorted(narrow);
+  ExpectWordsSorted(wide);
+}
+
+TEST(RadixSortTest, RankingKeysAboveTheCacheBudget) {
+  // The final ranking order's input: DescendingScoreKey of scores spread
+  // over many binades, a tenth of them 0.0, at the size of an RMat(15,16)
+  // ranking. Far over the budget, so the sort splits before its LSD passes.
+  std::mt19937_64 gen(26);
+  std::uniform_real_distribution<double> exponent(-4.0, 6.0);
+  std::vector<uint64_t> keys(420000);
+  for (auto& key : keys) {
+    const double score = gen() % 10 == 0 ? 0.0 : std::pow(10.0, exponent(gen));
+    key = analytics::DescendingScoreKey(score);
+  }
+  ASSERT_GT(keys.size(), 4 * RadixSortBudget<KeyedIndex>());
+  ExpectMatchesStableSort(keys);
+}
+
+TEST(RadixSortTest, OneOutlierForcesASecondSplit) {
+  // One key sets bit 63; every other key shares bits 47-62. The first
+  // split, on at most 16 bits from bit 63 down, leaves all but the outlier
+  // in one range over the budget, which is split again on the bits below.
+  std::mt19937_64 gen(27);
+  std::vector<uint64_t> keys(3 * RadixSortBudget<KeyedIndex>());
+  const uint64_t shared = uint64_t{0x5A5A} << 47;
+  for (auto& key : keys) key = shared | (gen() % (uint64_t{1} << 47));
+  keys[keys.size() / 3] = uint64_t{1} << 63;
+  ExpectMatchesStableSort(keys);
+}
+
+TEST(RadixSortTest, SizesAroundTheCacheBudget) {
+  // Up to the budget the LSD passes run alone; one item more splits first.
+  std::mt19937_64 gen(28);
+  const size_t budget = RadixSortBudget<KeyedIndex>();
+  for (size_t size : {budget - 1, budget, budget + 1, 2 * budget + 7}) {
+    SCOPED_TRACE(::testing::Message() << "size=" << size);
+    std::vector<uint64_t> keys(size);
+    for (auto& key : keys) key = gen() % (uint64_t{1} << 40);
+    ExpectMatchesStableSort(keys);
+  }
+}
+
+TEST(RadixSortTest, NarrowWordsAboveTheCacheBudget) {
+  // CRR's kept ids (< 2^19 here) and 32-bit words, both over the budget of
+  // their word size: the split starts at the highest varying bit, not at
+  // the top of the word.
+  std::mt19937_64 gen(29);
+  std::vector<uint64_t> edge_ids(3 * RadixSortBudget<uint64_t>());
+  for (auto& id : edge_ids) id = gen() % (uint64_t{1} << 19);
+  std::vector<uint32_t> words(3 * RadixSortBudget<uint32_t>());
+  for (auto& word : words) word = static_cast<uint32_t>(gen());
+  ExpectWordsSorted(edge_ids);
+  ExpectWordsSorted(words);
 }
 
 }  // namespace
