@@ -295,6 +295,13 @@ void ForEachMergedEdge(const SweepRun& run, uint64_t m, int threads,
       threads);
 }
 
+/// The key at one position of an ascending order, as SelectKey finds it.
+struct KeyCut {
+  uint64_t key = 0;
+  uint64_t ties = 0;   // keys equal to `key` at or before the position
+  uint64_t equal = 0;  // keys equal to `key` in all
+};
+
 /// Key at 0-based position `rank` of `keys` sorted ascending, plus how many
 /// keys equal to it sort at or before that position — the ties a cut of the
 /// first rank+1 keys takes. A radix select over 16-bit digits: each level
@@ -302,8 +309,8 @@ void ForEachMergedEdge(const SweepRun& run, uint64_t m, int threads,
 /// that holds the rank, so no comparison sort runs at all. A level that
 /// still reads every key counts and gathers per chunk on `threads` threads;
 /// the deeper levels read one bucket's keys and stay serial.
-std::pair<uint64_t, uint64_t> SelectKey(const std::vector<uint64_t>& keys,
-                                        uint64_t rank, int threads) {
+KeyCut SelectKey(const std::vector<uint64_t>& keys, uint64_t rank,
+                 int threads) {
   constexpr size_t kBuckets = size_t{1} << 16;
   std::vector<uint32_t> per_chunk;  // every level's histograms, reused
   std::vector<uint64_t> pool;  // the keys that share every digit fixed so far
@@ -329,7 +336,7 @@ std::pair<uint64_t, uint64_t> SelectKey(const std::vector<uint64_t>& keys,
       rank -= in_bucket;
     }
     prefix |= uint64_t{bucket} << shift;
-    if (shift == 0) return {prefix, rank + 1};
+    if (shift == 0) return {prefix, rank + 1, in_bucket};
     if (in_bucket == size) continue;  // every key shares this digit
     // Chunk c gathers its keys of the bucket after those of chunks < c.
     std::vector<size_t> at(chunks);
@@ -598,17 +605,55 @@ void MarkTopKEdges(const std::vector<uint64_t>& keys, uint64_t k,
   k = std::min(k, m);
   if (k == 0) return;
   // Every key below the threshold is in; the remaining slots go to keys
-  // equal to it in ascending id order, which one ascending scan gives.
-  auto [threshold, ties] = SelectKey(keys, k - 1, threads);
-  for (uint64_t e = 0; e < m; ++e) {
-    const uint64_t key = keys[e];
-    bool take = key < threshold;
-    if (key == threshold && ties > 0) {
-      take = true;
-      --ties;
+  // equal to it in ascending id order. Chunks of whole bitmap words scan on
+  // the pool: when only some equal keys are in, each chunk first counts its
+  // own, and a prefix over those counts hands each chunk its share of the
+  // ties.
+  const KeyCut cut = SelectKey(keys, k - 1, threads);
+  const size_t words = top->size();
+  const size_t chunks = RadixChunkCount(m, 1, threads);
+  auto first_key = [&](size_t c) {
+    return std::min<uint64_t>(64 * RadixChunkBegin(words, chunks, c), m);
+  };
+  std::vector<uint64_t> share(chunks, cut.equal);
+  if (cut.ties < cut.equal) {
+    ParallelForEach(
+        0, chunks,
+        [&](uint64_t c) {
+          share[c] = static_cast<uint64_t>(
+              std::count(keys.begin() + static_cast<ptrdiff_t>(first_key(c)),
+                         keys.begin() + static_cast<ptrdiff_t>(first_key(c + 1)),
+                         cut.key));
+        },
+        threads, /*grain=*/1);
+    uint64_t left = cut.ties;
+    for (uint64_t& chunk_share : share) {
+      chunk_share = std::min(chunk_share, left);
+      left -= chunk_share;
     }
-    if (take) (*top)[e >> 6] |= uint64_t{1} << (e & 63);
   }
+  ParallelForEach(
+      0, chunks,
+      [&](uint64_t c) {
+        const uint64_t* key = keys.data();
+        const uint64_t threshold = cut.key;
+        uint64_t ties = share[c];
+        const uint64_t end = first_key(c + 1);
+        for (uint64_t base = first_key(c); base < end; base += 64) {
+          uint64_t bits = 0;
+          const uint64_t stop = std::min<uint64_t>(base + 64, end);
+          for (uint64_t e = base; e < stop; ++e) {
+            bool take = key[e] < threshold;
+            if (key[e] == threshold && ties > 0) {
+              take = true;
+              --ties;
+            }
+            bits |= uint64_t{take} << (e - base);
+          }
+          (*top)[base / 64] = bits;
+        }
+      },
+      threads, /*grain=*/1);
 }
 
 BetweennessScores Betweenness(const graph::Graph& g,

@@ -138,8 +138,9 @@ uint64_t DescendingScoreKey(double score);
 /// marks the min(k, keys.size()) edges first in ascending (key, id) order:
 /// the top-k of the ranking, with ties at the threshold going to the lowest
 /// ids. The adaptive-wave stop check compares consecutive waves with it.
-/// The first selection level counts on up to `threads` threads (0 =
-/// DefaultThreadCount()); the bitmap is the same at every thread count.
+/// The first selection level and the marking scan run on up to `threads`
+/// threads (0 = DefaultThreadCount()); the bitmap is the same at every
+/// thread count.
 void MarkTopKEdges(const std::vector<uint64_t>& keys, uint64_t k,
                    std::vector<uint64_t>* top, int threads = 0);
 

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -36,6 +37,11 @@ Status ChunkMismatch(const SnapshotHeader& header, uint64_t chunk,
       path.c_str()));
 }
 
+/// The pread buffer each chunk-CRC worker folds its chunks through. Small
+/// enough that the bytes are still in L2 when the CRC reads them, and that
+/// verifying at several threads keeps a small resident set.
+constexpr uint64_t kVerifyReadBytes = uint64_t{256} << 10;
+
 /// Reads exactly [offset, offset + len) from `fd`, retrying short reads.
 Status PreadFully(int fd, char* out, uint64_t len, uint64_t offset,
                   const std::string& path) {
@@ -57,14 +63,19 @@ Status PreadFully(int fd, char* out, uint64_t len, uint64_t offset,
 }
 
 /// Verification for mmap-served snapshots: proves exactly what the copy
-/// path proves — every chunk CRC plus ValidateCsr's deep content sweep —
-/// but reads the file with pread(2) into bounded buffers instead of
-/// through the mapping, so verifying a snapshot does not fault the whole
-/// file into the process and defeat the point of a zero-copy load. Only
-/// the offsets section (hot for every query anyway) and the canonical edge
-/// section (random-accessed to answer incident-id lookups) are read
-/// through the mapping; for a typical graph that is about a quarter of the
-/// file, and the rest stays unfaulted until a query touches it.
+/// path proves — every chunk CRC plus ValidateCsr's content checks — but
+/// reads the file with pread(2) into bounded buffers instead of through
+/// the mapping, so verifying a snapshot does not fault the whole file into
+/// the process and defeat the point of a zero-copy load. Only the offsets
+/// section (hot for every query anyway) and the canonical edge section
+/// (random-accessed to answer incident-id lookups) are read through the
+/// mapping; for a typical graph that is about a quarter of the file, and
+/// the rest stays unfaulted until a query touches it.
+///
+/// Two passes on up to `options.threads` threads, each worker with one
+/// buffer it reuses: the chunk CRCs, one chunk at a time, then ValidateCsr
+/// over windows of adjacency and incident slots. A CRC mismatch is
+/// DataLoss naming the lowest bad chunk, whatever the content holds.
 Status VerifySnapshotStreamed(const std::string& path, const MappedFile& file,
                               const SnapshotHeader& header,
                               const IngestOptions& options) {
@@ -74,23 +85,32 @@ Status VerifySnapshotStreamed(const std::string& path, const MappedFile& file,
     int fd;
     ~FdGuard() { ::close(fd); }
   } guard{fd};
+  const int threads =
+      options.threads > 0 ? options.threads : DefaultThreadCount();
 
-  // Chunk CRCs, one bounded buffer per worker.
   const uint64_t data_start = header.DataStart();
   const uint64_t num_chunks = header.chunk_crcs.size();
+  std::atomic<uint64_t> next_chunk{0};
+  std::atomic<uint64_t> bad_chunk{num_chunks};  // the lowest seen so far
   std::atomic<bool> io_error{false};
-  std::atomic<uint64_t> bad_chunk{num_chunks};
-  ParallelFor(
-      0, num_chunks,
-      [&](uint64_t begin, uint64_t end) {
+  ParallelForEach(
+      0, std::min<uint64_t>(static_cast<uint64_t>(threads), num_chunks),
+      [&](uint64_t) {
         const uint64_t buf_bytes =
-            std::min<uint64_t>(header.chunk_bytes, uint64_t{4} << 20);
-        std::vector<char> buf(buf_bytes);
-        for (uint64_t c = begin; c < end; ++c) {
-          if (io_error.load(std::memory_order_relaxed) ||
-              bad_chunk.load(std::memory_order_relaxed) != num_chunks ||
+            std::min<uint64_t>(header.chunk_bytes, kVerifyReadBytes);
+        std::unique_ptr<char[]> buf;  // allocated on this worker's 1st chunk
+        for (;;) {
+          const uint64_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
+          // Chunks pull in ascending order: past a bad one, none can be
+          // lower.
+          if (c >= num_chunks ||
+              c > bad_chunk.load(std::memory_order_relaxed) ||
+              io_error.load(std::memory_order_relaxed) ||
               CancellationRequested(options.cancel)) {
             return;
+          }
+          if (buf == nullptr) {
+            buf = std::make_unique_for_overwrite<char[]>(buf_bytes);
           }
           const uint64_t chunk_begin = data_start + c * header.chunk_bytes;
           const uint64_t chunk_end = std::min<uint64_t>(
@@ -98,93 +118,66 @@ Status VerifySnapshotStreamed(const std::string& path, const MappedFile& file,
           uint32_t state = kCrc32Init;
           for (uint64_t pos = chunk_begin; pos < chunk_end;) {
             const uint64_t len = std::min<uint64_t>(buf_bytes, chunk_end - pos);
-            if (!PreadFully(fd, buf.data(), len, pos, path).ok()) {
+            if (!PreadFully(fd, buf.get(), len, pos, path).ok()) {
               io_error.store(true, std::memory_order_relaxed);
               return;
             }
-            state = Crc32Update(state, buf.data(), len);
+            state = Crc32Update(state, buf.get(), len);
             pos += len;
           }
           if (Crc32Finalize(state) != header.chunk_crcs[c]) {
-            uint64_t expected = num_chunks;
-            bad_chunk.compare_exchange_strong(expected, c);
-            return;
+            uint64_t lowest = bad_chunk.load(std::memory_order_relaxed);
+            while (c < lowest && !bad_chunk.compare_exchange_weak(
+                                     lowest, c, std::memory_order_relaxed)) {
+            }
           }
         }
       },
-      options.threads);
+      threads, /*grain=*/1);
   if (CancellationRequested(options.cancel)) return options.cancel->ToStatus();
   if (io_error.load()) return Status::IOError("read failed: " + path);
   if (const uint64_t c = bad_chunk.load(); c != num_chunks) {
     return ChunkMismatch(header, c, file.size(), path);
   }
 
-  // Deep content sweep, mirroring ValidateCsr check for check. Offsets and
-  // edges go through the mapping (small / random-accessed); adjacency and
-  // incident stream past in lockstep windows.
-  const uint64_t n = header.num_nodes;
-  const uint64_t m = header.num_edges;
-  const auto* offsets = reinterpret_cast<const uint64_t*>(
-      file.data() + header.sections[kSectionOffsets].offset);
-  const auto* edges = reinterpret_cast<const Edge*>(
-      file.data() + header.sections[kSectionEdges].offset);
-  if (header.sections[kSectionOffsets].bytes == 0) {
-    return Status::OK();  // the empty graph; nothing to sweep
-  }
-  if (offsets[0] != 0) return Status::InvalidArgument("csr: offsets[0] != 0");
-  for (uint64_t u = 0; u < n; ++u) {
-    if (offsets[u] > offsets[u + 1]) {
-      return Status::InvalidArgument("csr: offsets not monotone");
-    }
-  }
-  if (offsets[n] != 2 * m) {
-    return Status::InvalidArgument(
-        "csr: section sizes disagree (offsets/adjacency/incident/edges)");
-  }
-  const Status content_error = Status::InvalidArgument(
-      "csr: content check failed (endpoints, adjacency order, or "
-      "incident/edge disagreement)");
-  for (uint64_t i = 0; i < m; ++i) {
-    const Edge& e = edges[i];
-    if (e.u > e.v || e.v >= n || e.u == e.v) return content_error;
-  }
+  // Content: offsets and edges through the mapping, adjacency and incident
+  // through pread windows.
+  const auto& offsets_section = header.sections[kSectionOffsets];
+  const auto& edges_section = header.sections[kSectionEdges];
+  const std::span<const uint64_t> offsets(
+      reinterpret_cast<const uint64_t*>(file.data() + offsets_section.offset),
+      offsets_section.bytes / 8);
+  const std::span<const Edge> edges(
+      reinterpret_cast<const Edge*>(file.data() + edges_section.offset),
+      edges_section.bytes / sizeof(Edge));
   const uint64_t adj_offset = header.sections[kSectionAdjacency].offset;
   const uint64_t inc_offset = header.sections[kSectionIncident].offset;
-  constexpr uint64_t kWindowSlots = uint64_t{1} << 16;
-  std::vector<NodeId> adjacency(std::min(kWindowSlots, 2 * m));
-  std::vector<EdgeId> incident(adjacency.size());
-  uint64_t u = 0;
-  NodeId prev = kInvalidNode;
-  for (uint64_t slot = 0; slot < 2 * m;) {
-    const uint64_t count = std::min<uint64_t>(kWindowSlots, 2 * m - slot);
-    EDGESHED_RETURN_IF_ERROR(
-        PreadFully(fd, reinterpret_cast<char*>(adjacency.data()), 4 * count,
-                   adj_offset + 4 * slot, path));
-    EDGESHED_RETURN_IF_ERROR(
-        PreadFully(fd, reinterpret_cast<char*>(incident.data()), 8 * count,
-                   inc_offset + 8 * slot, path));
-    for (uint64_t i = 0; i < count; ++i, ++slot) {
-      while (u < n && slot == offsets[u + 1]) {
-        ++u;
-        prev = kInvalidNode;
-      }
-      const NodeId nbr = adjacency[i];
-      const EdgeId id = incident[i];
-      if (nbr >= n || nbr == u || id >= m ||
-          (prev != kInvalidNode && nbr <= prev)) {
-        return content_error;
-      }
-      const Edge& e = edges[id];
-      const NodeId lo = u < nbr ? static_cast<NodeId>(u) : nbr;
-      const NodeId hi = u < nbr ? nbr : static_cast<NodeId>(u);
-      if (e.u != lo || e.v != hi) return content_error;
-      prev = nbr;
-    }
+  const CsrSlotReader pread_slots = [&](uint64_t begin, uint64_t end,
+                                        CsrSlotWindow* window) -> Status {
     if (CancellationRequested(options.cancel)) {
       return options.cancel->ToStatus();
     }
-  }
-  return Status::OK();
+    if (window->adjacency_buffer == nullptr) {
+      window->adjacency_buffer =
+          std::make_unique_for_overwrite<NodeId[]>(kCsrWindowSlots + 1);
+      window->incident_buffer =
+          std::make_unique_for_overwrite<EdgeId[]>(kCsrWindowSlots + 1);
+    }
+    const uint64_t count = end - begin;
+    EDGESHED_RETURN_IF_ERROR(PreadFully(
+        fd, reinterpret_cast<char*>(window->adjacency_buffer.get()),
+        sizeof(NodeId) * count, adj_offset + sizeof(NodeId) * begin, path));
+    EDGESHED_RETURN_IF_ERROR(PreadFully(
+        fd, reinterpret_cast<char*>(window->incident_buffer.get()),
+        sizeof(EdgeId) * count, inc_offset + sizeof(EdgeId) * begin, path));
+    window->adjacency = {window->adjacency_buffer.get(), count};
+    window->incident = {window->incident_buffer.get(), count};
+    return Status::OK();
+  };
+  return ValidateCsr(
+      offsets, header.sections[kSectionAdjacency].bytes / sizeof(NodeId),
+      header.sections[kSectionIncident].bytes / sizeof(EdgeId), edges,
+      &pread_slots, threads);
 }
 
 StatusOr<LoadedGraph> LoadSnapshotV3(std::shared_ptr<const MappedFile> file,
@@ -198,8 +191,8 @@ StatusOr<LoadedGraph> LoadSnapshotV3(std::shared_ptr<const MappedFile> file,
   }
   if (options.verify_checksums && options.mmap) {
     // Zero-copy serving: verify through bounded pread buffers so the
-    // mapping itself stays cold. Covers chunk CRCs and the deep content
-    // sweep, so FromCsrView below only re-runs the O(n) shape checks.
+    // mapping itself stays cold. Covers chunk CRCs and ValidateCsr's content
+    // checks, so FromCsrView below only re-runs the O(n) shape checks.
     EDGESHED_RETURN_IF_ERROR(
         VerifySnapshotStreamed(path, *file, header, options));
   } else if (options.verify_checksums) {
@@ -247,11 +240,11 @@ StatusOr<LoadedGraph> LoadSnapshotV3(std::shared_ptr<const MappedFile> file,
   }
 
   // Checksums already prove the bytes are exactly what the writer produced;
-  // the deep structural sweep additionally proves the writer wrote a valid
+  // ValidateCsr's content checks additionally prove the writer wrote a valid
   // CSR (sorted adjacency, consistent incident ids) — the invariants the
   // binary searches in Graph rely on. Both gate on verify_checksums; on the
-  // mmap path VerifySnapshotStreamed already ran the content sweep through
-  // pread buffers, so FromCsrView only repeats the O(n) shape checks.
+  // mmap path VerifySnapshotStreamed already ran them through pread
+  // windows, so FromCsrView only repeats the O(n) shape checks.
   if (options.mmap) {
     Graph::CsrView view{offsets, adjacency, incident, edges,
                         std::move(file)};

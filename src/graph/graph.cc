@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
+#include <mutex>
 #include <string>
 
 #include "common/parallel.h"
+#include "common/radix_sort.h"
 #include "common/strings.h"
 
 namespace edgeshed::graph {
@@ -136,37 +139,76 @@ StatusOr<Graph> Graph::FromEdges(NodeId num_nodes, std::vector<Edge> edges) {
 
 Graph::Graph(NodeId num_nodes, std::vector<Edge> edges)
     : edges_(std::move(edges)) {
-  // Degree count: relaxed atomic increments are safe (counts are integers,
-  // so the accumulation order cannot change the result).
-  offsets_.assign(static_cast<size_t>(num_nodes) + 1, 0);
-  ParallelFor(0, edges_.size(), [&](uint64_t begin, uint64_t end) {
-    for (uint64_t i = begin; i < end; ++i) {
-      const Edge& e = edges_[i];
-      std::atomic_ref<uint64_t>(offsets_[e.u + 1])
-          .fetch_add(1, std::memory_order_relaxed);
-      std::atomic_ref<uint64_t>(offsets_[e.v + 1])
-          .fetch_add(1, std::memory_order_relaxed);
-    }
-  });
+  // A stable counting scatter. Each chunk of the edge list counts how often
+  // every vertex appears in it, and then writes its slots behind those of
+  // the chunks before it, so each vertex's slots come out in edge-id order,
+  // as one walk over the whole list would write them, at any chunk count.
+  // Edges sorted by (u, v) reach a vertex first from its lower neighbors
+  // (as v, ascending u) and then from its higher ones (as u, ascending v),
+  // so that order is ascending by neighbor: every adjacency list is sorted
+  // without a per-vertex sort. The list is split only into chunks of at
+  // least 2n edges (RadixChunkCount), so the per-chunk counts stay smaller
+  // than the slots they place.
+  const uint64_t n = num_nodes;
+  const uint64_t m = edges_.size();
+  const int threads = DefaultThreadCount();
+  const size_t chunks = RadixChunkCount(m, n, threads);
+  // Chunk c's count of vertex x at [c * n + x]; then, per vertex, the slots
+  // the chunks before c fill; then, during the scatter, the next free slot.
+  // Per-vertex counts fit in 32 bits: a degree is below n.
+  const auto placed = std::make_unique_for_overwrite<uint32_t[]>(chunks * n);
+  ParallelForEach(
+      0, chunks,
+      [&](uint64_t c) {
+        uint32_t* count = placed.get() + c * n;
+        std::fill(count, count + n, 0);
+        const Edge* edge = edges_.data();
+        const uint64_t end = RadixChunkBegin(m, chunks, c + 1);
+        for (uint64_t id = RadixChunkBegin(m, chunks, c); id < end; ++id) {
+          ++count[edge[id].u];
+          ++count[edge[id].v];
+        }
+      },
+      threads, /*grain=*/1);
+  offsets_.resize(n + 1);
+  ParallelFor(
+      0, n,
+      [&](uint64_t begin, uint64_t end) {
+        for (uint64_t x = begin; x < end; ++x) {
+          uint32_t degree = 0;
+          for (size_t c = 0; c < chunks; ++c) {
+            const uint32_t count = placed[c * n + x];
+            placed[c * n + x] = degree;
+            degree += count;
+          }
+          offsets_[x + 1] = degree;
+        }
+      },
+      threads);
   ParallelInclusivePrefixSum(&offsets_);
 
-  // Adjacency fill stays serial: the cursor walk writes each slot exactly
-  // once in edge-id order, which is what makes every adjacency list come out
-  // sorted (and deterministic) without an extra per-node sort pass.
-  adjacency_.resize(2 * edges_.size());
-  incident_.resize(2 * edges_.size());
-  std::vector<uint64_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (EdgeId id = 0; id < edges_.size(); ++id) {
-    const Edge& e = edges_[id];
-    adjacency_[cursor[e.u]] = e.v;
-    incident_[cursor[e.u]++] = id;
-    adjacency_[cursor[e.v]] = e.u;
-    incident_[cursor[e.v]++] = id;
-  }
-  // Edges were sorted by (u, v); the u-side adjacency is already ascending,
-  // but the v-side entries arrive in u-order which is also ascending per
-  // vertex, so each adjacency list is sorted without an extra pass. Verify
-  // in debug builds.
+  adjacency_.resize(2 * m);
+  incident_.resize(2 * m);
+  ParallelForEach(
+      0, chunks,
+      [&](uint64_t c) {
+        uint32_t* next = placed.get() + c * n;
+        const uint64_t* offsets = offsets_.data();
+        NodeId* adjacency = adjacency_.data();
+        EdgeId* incident = incident_.data();
+        const Edge* edge = edges_.data();
+        const uint64_t end = RadixChunkBegin(m, chunks, c + 1);
+        for (uint64_t id = RadixChunkBegin(m, chunks, c); id < end; ++id) {
+          const Edge e = edge[id];
+          const uint64_t at_u = offsets[e.u] + next[e.u]++;
+          adjacency[at_u] = e.v;
+          incident[at_u] = id;
+          const uint64_t at_v = offsets[e.v] + next[e.v]++;
+          adjacency[at_v] = e.u;
+          incident[at_v] = id;
+        }
+      },
+      threads, /*grain=*/1);
 #ifndef NDEBUG
   for (NodeId u = 0; u < num_nodes; ++u) {
     auto nbrs = Neighbors(u);
@@ -177,17 +219,62 @@ Graph::Graph(NodeId num_nodes, std::vector<Edge> edges)
 
 namespace {
 
-/// Shared validation for adopted CSR storage (mapped or owned). The O(n)
-/// shape checks always run; the O(n + m) content sweep (endpoint bounds,
-/// adjacency sortedness, incident/edge agreement) runs when `deep` is set
-/// and is parallelized — adopting a snapshot must stay far cheaper than
-/// rebuilding it.
-Status ValidateCsr(std::span<const uint64_t> offsets,
-                   std::span<const NodeId> adjacency,
-                   std::span<const EdgeId> incident,
-                   std::span<const Edge> edges, bool deep) {
+/// ValidateCsr's per-slot content checks over slots [begin, end), whose
+/// list starts with vertex `u`. `window` holds slots [first, end): first is
+/// begin - 1 when begin falls inside u's list, so the window carries the
+/// neighbor that begin's must exceed.
+bool SlotsValid(std::span<const uint64_t> offsets, std::span<const Edge> edges,
+                uint64_t u, uint64_t first, uint64_t begin, uint64_t end,
+                const CsrSlotWindow& window) {
+  const uint64_t n = offsets.size() - 1;
+  const uint64_t m = edges.size();
+  // A vertex's slots for its lower neighbors name edges all over the list;
+  // fetch each slot's edge this many slots ahead.
+  constexpr uint64_t kLookahead = 16;
+  NodeId prev = first < begin ? window.adjacency[0] : kInvalidNode;
+  for (uint64_t i = begin - first; i < end - first; ++i) {
+    if (i + kLookahead < end - first) {
+      __builtin_prefetch(edges.data() + std::min<uint64_t>(
+                                            window.incident[i + kLookahead],
+                                            m - 1));
+    }
+    while (first + i == offsets[u + 1]) {
+      ++u;
+      prev = kInvalidNode;
+    }
+    const NodeId nbr = window.adjacency[i];
+    const EdgeId id = window.incident[i];
+    if (nbr >= n || nbr == u || id >= m ||
+        (prev != kInvalidNode && nbr <= prev)) {
+      return false;
+    }
+    const Edge& e = edges[id];
+    const NodeId lo = u < nbr ? static_cast<NodeId>(u) : nbr;
+    const NodeId hi = u < nbr ? nbr : static_cast<NodeId>(u);
+    if (e.u != lo || e.v != hi) return false;
+    prev = nbr;
+  }
+  return true;
+}
+
+/// A CsrSlotReader over in-memory adjacency and incident arrays.
+CsrSlotReader SpanSlotReader(std::span<const NodeId> adjacency,
+                             std::span<const EdgeId> incident) {
+  return [adjacency, incident](uint64_t begin, uint64_t end,
+                               CsrSlotWindow* window) {
+    window->adjacency = adjacency.subspan(begin, end - begin);
+    window->incident = incident.subspan(begin, end - begin);
+    return Status::OK();
+  };
+}
+
+}  // namespace
+
+Status ValidateCsr(std::span<const uint64_t> offsets, uint64_t adjacency_size,
+                   uint64_t incident_size, std::span<const Edge> edges,
+                   const CsrSlotReader* slots, int threads) {
   if (offsets.empty()) {
-    if (adjacency.empty() && incident.empty() && edges.empty()) {
+    if (adjacency_size == 0 && incident_size == 0 && edges.empty()) {
       return Status::OK();  // the empty graph
     }
     return Status::InvalidArgument("csr: missing offsets section");
@@ -200,75 +287,102 @@ Status ValidateCsr(std::span<const uint64_t> offsets,
   if (offsets.front() != 0) {
     return Status::InvalidArgument("csr: offsets[0] != 0");
   }
-  if (offsets.back() != adjacency.size() || adjacency.size() != 2 * m ||
-      incident.size() != 2 * m) {
+  if (offsets.back() != adjacency_size || adjacency_size != 2 * m ||
+      incident_size != 2 * m) {
     return Status::InvalidArgument(
         "csr: section sizes disagree (offsets/adjacency/incident/edges)");
   }
   std::atomic<bool> bad_shape{false};
-  ParallelFor(0, n, [&](uint64_t begin, uint64_t end) {
-    for (uint64_t u = begin; u < end; ++u) {
-      if (offsets[u] > offsets[u + 1]) {
-        bad_shape.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  });
+  ParallelFor(
+      0, n,
+      [&](uint64_t begin, uint64_t end) {
+        for (uint64_t u = begin; u < end; ++u) {
+          if (offsets[u] > offsets[u + 1]) {
+            bad_shape.store(true, std::memory_order_relaxed);
+            return;
+          }
+        }
+      },
+      threads);
   if (bad_shape.load()) {
     return Status::InvalidArgument("csr: offsets not monotone");
   }
-  if (!deep) return Status::OK();
+  if (slots == nullptr) return Status::OK();
 
-  std::atomic<bool> bad_content{false};
-  ParallelFor(0, n, [&](uint64_t begin, uint64_t end) {
-    for (uint64_t u = begin; u < end && !bad_content.load(
-                                            std::memory_order_relaxed);
-         ++u) {
-      NodeId prev = kInvalidNode;
-      for (uint64_t slot = offsets[u]; slot < offsets[u + 1]; ++slot) {
-        const NodeId nbr = adjacency[slot];
-        const EdgeId id = incident[slot];
-        if (nbr >= n || nbr == u || id >= m ||
-            (prev != kInvalidNode && nbr <= prev)) {
-          bad_content.store(true, std::memory_order_relaxed);
-          return;
-        }
-        const Edge& e = edges[id];
-        const NodeId lo = u < nbr ? static_cast<NodeId>(u) : nbr;
-        const NodeId hi = u < nbr ? nbr : static_cast<NodeId>(u);
-        if (e.u != lo || e.v != hi) {
-          bad_content.store(true, std::memory_order_relaxed);
-          return;
-        }
-        prev = nbr;
-      }
-    }
-  });
+  const Status content_error = Status::InvalidArgument(
+      "csr: content check failed (endpoints, adjacency order, or "
+      "incident/edge disagreement)");
   // The canonical edge list itself must be canonical and in bounds; the
-  // adjacency sweep only touches edges that some slot references.
-  ParallelFor(0, m, [&](uint64_t begin, uint64_t end) {
-    for (uint64_t i = begin; i < end; ++i) {
-      const Edge& e = edges[i];
-      if (e.u > e.v || e.v >= n || e.u == e.v) {
-        bad_content.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  });
-  if (bad_content.load()) {
-    return Status::InvalidArgument(
-        "csr: content check failed (endpoints, adjacency order, or "
-        "incident/edge disagreement)");
-  }
-  return Status::OK();
+  // slot windows only touch edges that some slot references.
+  std::atomic<bool> bad_edge{false};
+  ParallelFor(
+      0, m,
+      [&](uint64_t begin, uint64_t end) {
+        for (uint64_t i = begin; i < end; ++i) {
+          const Edge& e = edges[i];
+          if (e.u > e.v || e.v >= n || e.u == e.v) {
+            bad_edge.store(true, std::memory_order_relaxed);
+            return;
+          }
+        }
+      },
+      threads);
+  if (bad_edge.load()) return content_error;
+
+  // Slot windows, pulled in ascending order by one worker per thread, each
+  // with its own reusable window. A failed window stops every worker from
+  // starting a later one, and every earlier window still runs, so the
+  // lowest failing window's status is the one returned.
+  if (threads <= 0) threads = DefaultThreadCount();
+  const uint64_t windows =
+      (adjacency_size + kCsrWindowSlots - 1) / kCsrWindowSlots;
+  std::atomic<uint64_t> next_window{0};
+  std::atomic<uint64_t> failed_window{windows};
+  std::mutex failure_mu;
+  Status failure;
+  ParallelForEach(
+      0, std::min<uint64_t>(static_cast<uint64_t>(threads), windows),
+      [&](uint64_t) {
+        CsrSlotWindow window;
+        for (;;) {
+          const uint64_t w = next_window.fetch_add(1, std::memory_order_relaxed);
+          if (w >= windows || w > failed_window.load(std::memory_order_relaxed)) {
+            return;
+          }
+          const uint64_t begin = w * kCsrWindowSlots;
+          const uint64_t end =
+              std::min<uint64_t>(begin + kCsrWindowSlots, adjacency_size);
+          // The vertex whose list holds slot `begin`.
+          const uint64_t u = static_cast<uint64_t>(
+              std::upper_bound(offsets.begin(), offsets.end(), begin) -
+              offsets.begin() - 1);
+          const uint64_t first = begin > offsets[u] ? begin - 1 : begin;
+          Status status = (*slots)(first, end, &window);
+          if (status.ok() &&
+              !SlotsValid(offsets, edges, u, first, begin, end, window)) {
+            status = content_error;
+          }
+          if (!status.ok()) {
+            std::lock_guard<std::mutex> lock(failure_mu);
+            if (w < failed_window.load(std::memory_order_relaxed)) {
+              failed_window.store(w, std::memory_order_relaxed);
+              failure = std::move(status);
+            }
+            return;
+          }
+        }
+      },
+      threads, /*grain=*/1);
+  return failure;
 }
 
-}  // namespace
-
 StatusOr<Graph> Graph::FromCsrView(CsrView view, bool deep_validation) {
-  EDGESHED_RETURN_IF_ERROR(ValidateCsr(view.offsets, view.adjacency,
-                                       view.incident, view.edges,
-                                       deep_validation));
+  const CsrSlotReader slots =
+      deep_validation ? SpanSlotReader(view.adjacency, view.incident)
+                      : CsrSlotReader();
+  EDGESHED_RETURN_IF_ERROR(ValidateCsr(view.offsets, view.adjacency.size(),
+                                       view.incident.size(), view.edges,
+                                       deep_validation ? &slots : nullptr));
   Graph g;
   g.mapped_ = std::make_shared<const CsrView>(std::move(view));
   return g;
@@ -279,8 +393,11 @@ StatusOr<Graph> Graph::FromCsrParts(std::vector<uint64_t> offsets,
                                     std::vector<EdgeId> incident,
                                     std::vector<Edge> edges,
                                     bool deep_validation) {
-  EDGESHED_RETURN_IF_ERROR(ValidateCsr(offsets, adjacency, incident, edges,
-                                       deep_validation));
+  const CsrSlotReader slots =
+      deep_validation ? SpanSlotReader(adjacency, incident) : CsrSlotReader();
+  EDGESHED_RETURN_IF_ERROR(ValidateCsr(offsets, adjacency.size(),
+                                       incident.size(), edges,
+                                       deep_validation ? &slots : nullptr));
   Graph g;
   g.offsets_ = std::move(offsets);
   g.adjacency_ = std::move(adjacency);

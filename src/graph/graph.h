@@ -2,6 +2,7 @@
 #define EDGESHED_GRAPH_GRAPH_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <type_traits>
@@ -91,13 +92,11 @@ class Graph {
   static StatusOr<Graph> FromEdges(NodeId num_nodes, std::vector<Edge> edges);
 
   /// Adopts pre-built CSR arrays without copying them (mmap zero-copy
-  /// loads). Validates structural invariants: monotone offsets bracketing
-  /// the adjacency arrays, consistent section sizes, in-range endpoints,
-  /// sorted adjacency lists, and incident ids that agree with the canonical
-  /// edge list. `deep_validation=false` skips the O(n + m) content checks
-  /// (endpoint range / sortedness / incident consistency) and trusts the
-  /// caller's integrity checking (checksums) — the O(n) shape checks always
-  /// run. InvalidArgument on any violation.
+  /// loads) after ValidateCsr (below) over the view's spans.
+  /// `deep_validation=false` skips the O(n + m) content checks and trusts
+  /// the caller's integrity checking (checksums, or a ValidateCsr run of
+  /// its own) — the O(n) shape checks always run. InvalidArgument on any
+  /// violation.
   static StatusOr<Graph> FromCsrView(CsrView view,
                                      bool deep_validation = true);
 
@@ -215,6 +214,44 @@ class Graph {
   // memory-mapped) CSR. Copying a Graph shares this handle.
   std::shared_ptr<const CsrView> mapped_;
 };
+
+/// Slots ValidateCsr checks per window: a window reads at most this many
+/// slots, plus the one before it when it starts inside a vertex's list. A
+/// window read into buffers takes 192 KiB.
+inline constexpr uint64_t kCsrWindowSlots = uint64_t{1} << 14;
+
+/// One window of adjacency and incident entries, as a CsrSlotReader hands
+/// it to ValidateCsr. Readers that hold the arrays in memory point the spans
+/// into them; readers that do not fill the buffers (one window per worker,
+/// reused for every window that worker takes) and point the spans there.
+struct CsrSlotWindow {
+  std::span<const NodeId> adjacency;
+  std::span<const EdgeId> incident;
+  std::unique_ptr<NodeId[]> adjacency_buffer;
+  std::unique_ptr<EdgeId[]> incident_buffer;
+};
+
+/// Sets `window`'s spans to slots [begin, end) (at most kCsrWindowSlots + 1
+/// of them). Called concurrently, each call with its own worker's window.
+/// A non-OK status ends validation with it.
+using CsrSlotReader =
+    std::function<Status(uint64_t begin, uint64_t end, CsrSlotWindow* window)>;
+
+/// The one CSR validator, behind Graph::FromCsrView, Graph::FromCsrParts
+/// and the mmap snapshot load's verification. The O(n) shape checks always
+/// run: offsets start at 0, never decrease, and end at the adjacency size,
+/// which is 2 * edges.size(), as is `incident_size`. With `slots` set it
+/// also runs the O(n + m) content checks on up to `threads` threads (0 =
+/// DefaultThreadCount()): every edge canonical and in range, and, over
+/// windows of slots read through `slots`, every neighbor and edge id in
+/// range, each vertex's neighbors strictly ascending (checked across window
+/// edges too), and each slot's edge id naming the edge {vertex, neighbor}.
+/// Shape and content violations are InvalidArgument; a reader error is
+/// returned as is. When several windows fail, the lowest one's status is
+/// returned.
+Status ValidateCsr(std::span<const uint64_t> offsets, uint64_t adjacency_size,
+                   uint64_t incident_size, std::span<const Edge> edges,
+                   const CsrSlotReader* slots, int threads = 0);
 
 /// Builds the subgraph of `parent` that keeps the whole vertex set and only
 /// the edges in `edge_ids` (indices into parent.edges()). Duplicate ids are

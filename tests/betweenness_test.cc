@@ -651,6 +651,43 @@ TEST(RankingPrimitivesTest, MarkTopKEdgesMatchesNthElementSelection) {
   }
 }
 
+TEST(RankingPrimitivesTest, MarkTopKEdgesSplitsThresholdTiesAcrossChunks) {
+  // 70,000 keys scan in 1, 2 or 4 chunks of whole 64-key bitmap words, cut
+  // at keys 17472, 35008 and 52480 (1094 words split evenly). Ties at the
+  // threshold sit every 7th key and densely around each cut, and k makes
+  // the last tie taken fall just before, on, or just after a cut, so each
+  // chunk's share of the ties depends on the chunks before it.
+  constexpr size_t kEdges = 70000;
+  const std::vector<size_t> cuts = {17472, 35008, 52480};
+  std::vector<double> scores(kEdges, 1.0);
+  for (size_t e = 0; e < kEdges; e += 11) scores[e] = 3.0 + 1e-6 * e;
+  for (size_t e = 0; e < kEdges; e += 7) scores[e] = 2.0;
+  for (const size_t cut : cuts) {
+    for (size_t e = cut - 8; e < cut + 8; ++e) scores[e] = 2.0;
+  }
+  std::vector<uint64_t> keys(kEdges);
+  for (size_t e = 0; e < kEdges; ++e) keys[e] = DescendingScoreKey(scores[e]);
+  const uint64_t above = static_cast<uint64_t>(
+      std::count_if(scores.begin(), scores.end(),
+                    [](double s) { return s > 2.0; }));
+  for (const size_t cut : cuts) {
+    const uint64_t ties_before = static_cast<uint64_t>(
+        std::count(scores.begin(), scores.begin() + static_cast<ptrdiff_t>(cut),
+                   2.0));
+    for (const uint64_t k : {above + ties_before - 2, above + ties_before - 1,
+                             above + ties_before, above + ties_before + 1}) {
+      const std::vector<uint64_t> expected = ReferenceTopK(scores, k);
+      for (const int threads : {1, 2, 4}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "cut=" << cut << " k=" << k << " threads=" << threads);
+        std::vector<uint64_t> top;
+        MarkTopKEdges(keys, k, &top, threads);
+        EXPECT_EQ(MarkedIds(top), expected);
+      }
+    }
+  }
+}
+
 TEST(RankingPrimitivesTest, DescendingScoreKeyReversesScoreOrder) {
   const std::vector<double> descending = {
       std::numeric_limits<double>::infinity(), 1e300, 3.5, 1.0, 1e-300,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -166,6 +167,51 @@ TEST(GraphTest, SortedAndShuffledInputBuildIdenticalGraphs) {
   EXPECT_TRUE(std::equal(sorted.begin(), sorted.end(),
                          from_sorted->edges().begin(),
                          from_sorted->edges().end()));
+}
+
+TEST(GraphTest, CsrFillMatchesASerialWalkAtEveryThreadCount) {
+  // 60k edges over 2000 vertices: at 2 and 4 threads the fill scatters in
+  // 2 and 3 chunks. Every build must equal one walk over the edges in id
+  // order, which writes each vertex's list ascending.
+  const std::vector<Edge> edges = SortedRandomEdges(2000, 60000);
+  CsrArrays expected;
+  expected.edges = edges;
+  expected.offsets.assign(2001, 0);
+  for (const Edge& e : edges) {
+    ++expected.offsets[e.u + 1];
+    ++expected.offsets[e.v + 1];
+  }
+  std::partial_sum(expected.offsets.begin(), expected.offsets.end(),
+                   expected.offsets.begin());
+  expected.adjacency.resize(2 * edges.size());
+  expected.incident.resize(2 * edges.size());
+  std::vector<uint64_t> cursor(expected.offsets.begin(),
+                               expected.offsets.end() - 1);
+  for (EdgeId id = 0; id < edges.size(); ++id) {
+    const Edge& e = edges[id];
+    expected.adjacency[cursor[e.u]] = e.v;
+    expected.incident[cursor[e.u]++] = id;
+    expected.adjacency[cursor[e.v]] = e.u;
+    expected.incident[cursor[e.v]++] = id;
+  }
+  const char* previous = std::getenv("EDGESHED_THREADS");
+  const std::string saved = previous != nullptr ? previous : "";
+  for (const char* threads : {"1", "2", "4"}) {
+    ::setenv("EDGESHED_THREADS", threads, 1);
+    SCOPED_TRACE(::testing::Message() << "EDGESHED_THREADS=" << threads);
+    auto g = Graph::FromEdges(2000, edges);
+    ASSERT_TRUE(g.ok()) << g.status();
+    EXPECT_TRUE(ArraysOf(*g) == expected);
+    for (NodeId u = 0; u < 2000; ++u) {
+      const auto nbrs = g->Neighbors(u);
+      ASSERT_TRUE(std::is_sorted(nbrs.begin(), nbrs.end())) << "vertex " << u;
+    }
+  }
+  if (previous != nullptr) {
+    ::setenv("EDGESHED_THREADS", saved.c_str(), 1);
+  } else {
+    ::unsetenv("EDGESHED_THREADS");
+  }
 }
 
 TEST(GraphTest, SortedInputWithAdjacentDuplicateNamesThePair) {

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -409,6 +411,132 @@ TEST_F(SnapshotV3Test, CancelledLoadReturnsCancelled) {
   auto loaded = LoadSnapshot(path, options);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCancelled);
+}
+
+// --- Verification across worker windows, at several thread counts. ---
+
+/// Sets EDGESHED_THREADS for one scope and restores it after.
+class ScopedThreads {
+ public:
+  explicit ScopedThreads(const char* threads) {
+    if (const char* previous = std::getenv("EDGESHED_THREADS")) {
+      previous_ = previous;
+    }
+    ::setenv("EDGESHED_THREADS", threads, 1);
+  }
+  ~ScopedThreads() {
+    if (previous_.has_value()) {
+      ::setenv("EDGESHED_THREADS", previous_->c_str(), 1);
+    } else {
+      ::unsetenv("EDGESHED_THREADS");
+    }
+  }
+
+ private:
+  std::optional<std::string> previous_;
+};
+
+/// Re-seals a v3 snapshot whose data region was edited: chunk and header
+/// CRCs are recomputed, so only the content checks can catch the edit.
+std::string Reseal(std::string bytes) {
+  auto header = DecodeSnapshotHeader(bytes.data(), bytes.size(), "reseal");
+  EXPECT_TRUE(header.ok()) << header.status().ToString();
+  header->chunk_crcs = ComputeSnapshotChunkCrcs(
+      bytes.data() + header->DataStart(), bytes.size() - header->DataStart(),
+      header->chunk_bytes);
+  const std::string encoded = EncodeSnapshotHeader(*header);
+  bytes.replace(0, encoded.size(), encoded);
+  return bytes;
+}
+
+/// A star whose hub (vertex 0) lists neighbors 1..70000 in slots
+/// [0, 70000) with incident ids 0..69999, saved in 4 KiB chunks; the
+/// returned bytes swap slots kCsrWindowSlots - 1 and kCsrWindowSlots in
+/// both adjacency and incident and are resealed. Each slot still names its
+/// own edge, so only the ascending-neighbor check across the edge between
+/// the first two validation windows can catch the swap.
+std::string StarWithPairSwappedAcrossWindowEdge(const std::string& path) {
+  constexpr NodeId kLeaves = 70000;
+  std::vector<Edge> edges;
+  for (NodeId leaf = 1; leaf <= kLeaves; ++leaf) edges.push_back({0, leaf});
+  auto star = Graph::FromEdges(kLeaves + 1, std::move(edges));
+  EXPECT_TRUE(star.ok());
+  SnapshotOptions options;
+  options.chunk_bytes = 4096;
+  EXPECT_TRUE(SaveBinaryGraph(*star, path, options).ok());
+  std::string bytes = ReadFile(path);
+  auto header = DecodeSnapshotHeader(bytes.data(), bytes.size(), path);
+  EXPECT_TRUE(header.ok()) << header.status().ToString();
+  const uint64_t slot = kCsrWindowSlots;
+  const uint64_t adjacency = header->sections[kSectionAdjacency].offset;
+  const uint64_t incident = header->sections[kSectionIncident].offset;
+  for (uint64_t b = 0; b < 4; ++b) {
+    std::swap(bytes[adjacency + 4 * (slot - 1) + b],
+              bytes[adjacency + 4 * slot + b]);
+  }
+  for (uint64_t b = 0; b < 8; ++b) {
+    std::swap(bytes[incident + 8 * (slot - 1) + b],
+              bytes[incident + 8 * slot + b]);
+  }
+  return Reseal(std::move(bytes));
+}
+
+TEST_F(SnapshotV3Test, OutOfOrderPairAcrossAWindowEdgeIsInvalidArgument) {
+  const std::string path = TempPath("star.es3");
+  const std::string swapped = StarWithPairSwappedAcrossWindowEdge(path);
+  const std::string pristine = ReadFile(path);
+  const std::string bad = TempPath("star_swapped.es3");
+  for (const char* threads : {"1", "2", "4"}) {
+    const ScopedThreads scoped(threads);
+    for (const bool mmap : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "EDGESHED_THREADS=" << threads
+                                        << (mmap ? " mmap" : " copy"));
+      IngestOptions options;
+      options.mmap = mmap;
+      // Resealing an unedited snapshot changes nothing.
+      WriteFile(bad, Reseal(pristine));
+      auto resealed = LoadSnapshot(bad, options);
+      ASSERT_TRUE(resealed.ok()) << resealed.status().ToString();
+      WriteFile(bad, swapped);
+      auto loaded = LoadSnapshot(bad, options);
+      ASSERT_FALSE(loaded.ok());
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+          << loaded.status().ToString();
+      EXPECT_NE(loaded.status().message().find("content check"),
+                std::string::npos)
+          << loaded.status().ToString();
+    }
+  }
+}
+
+TEST_F(SnapshotV3Test, BadChunkBeforeAContentErrorIsDataLossNamingTheLowest) {
+  // The content error sits in the second validation window; chunks 5 and
+  // 9 (4 KiB each, in the offsets section) are damaged as well.
+  std::string bytes =
+      StarWithPairSwappedAcrossWindowEdge(TempPath("star_lowest.es3"));
+  auto header = DecodeSnapshotHeader(bytes.data(), bytes.size(), "star");
+  ASSERT_TRUE(header.ok());
+  for (const uint64_t chunk : {uint64_t{9}, uint64_t{5}}) {
+    bytes[header->DataStart() + chunk * header->chunk_bytes + 100] ^= 0x10;
+  }
+  const std::string bad = TempPath("star_lowest_bad.es3");
+  WriteFile(bad, bytes);
+  for (const char* threads : {"1", "2", "4"}) {
+    const ScopedThreads scoped(threads);
+    for (const bool mmap : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "EDGESHED_THREADS=" << threads
+                                        << (mmap ? " mmap" : " copy"));
+      IngestOptions options;
+      options.mmap = mmap;
+      auto loaded = LoadSnapshot(bad, options);
+      ASSERT_FALSE(loaded.ok());
+      EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+          << loaded.status().ToString();
+      EXPECT_NE(loaded.status().message().find("snapshot chunk 5 checksum"),
+                std::string::npos)
+          << loaded.status().ToString();
+    }
+  }
 }
 
 // --- SaveBinaryGraph / LoadSnapshot basics, each through both load paths.
