@@ -86,7 +86,8 @@ DynamicShedResult ShedSession::BuildResult(uint64_t version) const {
 }
 
 StatusOr<DynamicShedResult> ShedSession::FullShed(
-    const std::shared_ptr<const DeltaGraph>& snap) {
+    const std::shared_ptr<const DeltaGraph>& snap,
+    const CancellationToken* cancel) {
   Stopwatch watch;
   const uint64_t version = snap->version();
   graph::Graph materialized;
@@ -98,8 +99,10 @@ StatusOr<DynamicShedResult> ShedSession::FullShed(
     g = &materialized;
   }
 
-  core::ShedOptions shed_options{
-      .p = options_.p, .threads = options_.threads, .seed = options_.seed};
+  core::ShedOptions shed_options{.p = options_.p,
+                                 .cancel = cancel,
+                                 .threads = options_.threads,
+                                 .seed = options_.seed};
   if (options_.rank_provider != nullptr) {
     shed_options.rank_provider =
         [this, version](const graph::Graph& ranked_graph,
@@ -510,14 +513,15 @@ StatusOr<DynamicShedResult> ShedSession::IncrementalShed(
   return result;
 }
 
-StatusOr<DynamicShedResult> ShedSession::Reshed() {
+StatusOr<DynamicShedResult> ShedSession::Reshed(
+    const CancellationToken* cancel) {
   const std::shared_ptr<const DeltaGraph> snap = graph_->Snapshot();
-  if (!have_state_) return FullShed(snap);
+  if (!have_state_) return FullShed(snap, cancel);
   const std::optional<std::vector<graph::MutationBatch>> batches =
       graph_->BatchesSince(state_version_);
   // History trimmed past this session (or the graph was swapped under it):
   // full restart.
-  if (!batches.has_value()) return FullShed(snap);
+  if (!batches.has_value()) return FullShed(snap, cancel);
   if (batches->empty()) {
     DynamicShedResult result = BuildResult(snap->version());
     result.snapshot = snap;
@@ -556,8 +560,13 @@ StatusOr<DynamicShedResult> ShedSession::Reshed() {
   const double dirty_fraction =
       static_cast<double>(dirty_set.size()) /
       static_cast<double>(num_nodes == 0 ? 1 : num_nodes);
-  if (dirty_fraction > options_.full_rank_dirty_bound) return FullShed(snap);
+  if (dirty_fraction > options_.full_rank_dirty_bound) {
+    return FullShed(snap, cancel);
+  }
 
+  // The incremental pass changes session state from its first stage on and
+  // is O(batch)-bounded, so it is polled here only.
+  if (CancellationRequested(cancel)) return cancel->ToStatus();
   std::vector<graph::NodeId> dirty(dirty_set.begin(), dirty_set.end());
   std::sort(dirty.begin(), dirty.end());
   return IncrementalShed(snap, *batches, dirty);

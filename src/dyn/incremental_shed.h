@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "analytics/betweenness.h"
+#include "common/cancellation.h"
 #include "common/statusor.h"
 #include "core/discrepancy.h"
 #include "core/shedding.h"
@@ -122,8 +123,11 @@ class ShedSession {
 
   ShedSession(std::shared_ptr<VersionedGraph> g, DynamicShedOptions options);
 
-  /// Re-sheds against the current version. See class comment.
-  StatusOr<DynamicShedResult> Reshed();
+  /// Re-sheds against the current version. See class comment. `cancel`
+  /// (optional) reaches the cold start's core::Crr::Run and is polled once
+  /// before an incremental pass; a cancelled re-shed returns its status and
+  /// leaves the session as it was.
+  StatusOr<DynamicShedResult> Reshed(const CancellationToken* cancel = nullptr);
 
   bool has_state() const { return have_state_; }
   uint64_t state_version() const { return state_version_; }
@@ -131,7 +135,8 @@ class ShedSession {
 
  private:
   StatusOr<DynamicShedResult> FullShed(
-      const std::shared_ptr<const DeltaGraph>& snap);
+      const std::shared_ptr<const DeltaGraph>& snap,
+      const CancellationToken* cancel);
   StatusOr<DynamicShedResult> IncrementalShed(
       const std::shared_ptr<const DeltaGraph>& snap,
       const std::vector<graph::MutationBatch>& batches,

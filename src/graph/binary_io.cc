@@ -22,8 +22,7 @@ namespace edgeshed::graph {
 
 namespace {
 
-/// The DataLoss status a chunk-CRC mismatch reports; shared by the in-core
-/// and streamed verifiers so tests and operators see one message.
+/// The DataLoss status a chunk-CRC mismatch reports.
 Status ChunkMismatch(const SnapshotHeader& header, uint64_t chunk,
                      uint64_t file_bytes, const std::string& path) {
   const uint64_t begin = header.DataStart() + chunk * header.chunk_bytes;
@@ -62,11 +61,11 @@ Status PreadFully(int fd, char* out, uint64_t len, uint64_t offset,
   return Status::OK();
 }
 
-/// Verification for mmap-served snapshots: proves exactly what the copy
-/// path proves — every chunk CRC plus ValidateCsr's content checks — but
-/// reads the file with pread(2) into bounded buffers instead of through
-/// the mapping, so verifying a snapshot does not fault the whole file into
-/// the process and defeat the point of a zero-copy load. Only the offsets
+/// The one v3 verification, for zero-copy and copy loads alike: every chunk
+/// CRC plus ValidateCsr's content checks. It reads the file with pread(2)
+/// into bounded buffers instead of through the mapping, so verifying a
+/// snapshot does not fault the whole file into the process and defeat the
+/// point of a zero-copy load. Only the offsets
 /// section (hot for every query anyway) and the canonical edge section
 /// (random-accessed to answer incident-id lookups) are read through the
 /// mapping; for a typical graph that is about a quarter of the file, and
@@ -189,22 +188,13 @@ StatusOr<LoadedGraph> LoadSnapshotV3(std::shared_ptr<const MappedFile> file,
   if (CancellationRequested(options.cancel)) {
     return options.cancel->ToStatus();
   }
-  if (options.verify_checksums && options.mmap) {
-    // Zero-copy serving: verify through bounded pread buffers so the
-    // mapping itself stays cold. Covers chunk CRCs and ValidateCsr's content
-    // checks, so FromCsrView below only re-runs the O(n) shape checks.
+  if (options.verify_checksums) {
+    // Chunk CRCs and ValidateCsr's content checks, read through bounded
+    // pread buffers, for both load modes: the mapping stays cold for a
+    // zero-copy load, and a copy load copies only proven bytes. The
+    // FromCsrView/FromCsrParts below then only re-run the O(n) shape checks.
     EDGESHED_RETURN_IF_ERROR(
         VerifySnapshotStreamed(path, *file, header, options));
-  } else if (options.verify_checksums) {
-    const std::vector<uint32_t> actual = ComputeSnapshotChunkCrcs(
-        file->data() + header.DataStart(),
-        file->size() - header.DataStart(), header.chunk_bytes,
-        options.threads);
-    for (uint64_t c = 0; c < actual.size(); ++c) {
-      if (actual[c] != header.chunk_crcs[c]) {
-        return ChunkMismatch(header, c, file->size(), path);
-      }
-    }
   }
   if (CancellationRequested(options.cancel)) {
     return options.cancel->ToStatus();
@@ -239,18 +229,11 @@ StatusOr<LoadedGraph> LoadSnapshotV3(std::shared_ptr<const MappedFile> file,
     original_ids.assign(ids.begin(), ids.end());
   }
 
-  // Checksums already prove the bytes are exactly what the writer produced;
-  // ValidateCsr's content checks additionally prove the writer wrote a valid
-  // CSR (sorted adjacency, consistent incident ids) — the invariants the
-  // binary searches in Graph rely on. Both gate on verify_checksums; on the
-  // mmap path VerifySnapshotStreamed already ran them through pread
-  // windows, so FromCsrView only repeats the O(n) shape checks.
   if (options.mmap) {
     Graph::CsrView view{offsets, adjacency, incident, edges,
                         std::move(file)};
-    EDGESHED_ASSIGN_OR_RETURN(
-        Graph graph,
-        Graph::FromCsrView(std::move(view), /*deep_validation=*/false));
+    EDGESHED_ASSIGN_OR_RETURN(Graph graph,
+                              Graph::FromCsrView(std::move(view)));
     return LoadedGraph{std::move(graph), std::move(original_ids)};
   }
   file->AdviseSequential();
@@ -260,8 +243,7 @@ StatusOr<LoadedGraph> LoadSnapshotV3(std::shared_ptr<const MappedFile> file,
           std::vector<uint64_t>(offsets.begin(), offsets.end()),
           std::vector<NodeId>(adjacency.begin(), adjacency.end()),
           std::vector<EdgeId>(incident.begin(), incident.end()),
-          std::vector<Edge>(edges.begin(), edges.end()),
-          options.verify_checksums));
+          std::vector<Edge>(edges.begin(), edges.end())));
   return LoadedGraph{std::move(graph), std::move(original_ids)};
 }
 

@@ -257,17 +257,6 @@ bool SlotsValid(std::span<const uint64_t> offsets, std::span<const Edge> edges,
   return true;
 }
 
-/// A CsrSlotReader over in-memory adjacency and incident arrays.
-CsrSlotReader SpanSlotReader(std::span<const NodeId> adjacency,
-                             std::span<const EdgeId> incident) {
-  return [adjacency, incident](uint64_t begin, uint64_t end,
-                               CsrSlotWindow* window) {
-    window->adjacency = adjacency.subspan(begin, end - begin);
-    window->incident = incident.subspan(begin, end - begin);
-    return Status::OK();
-  };
-}
-
 }  // namespace
 
 Status ValidateCsr(std::span<const uint64_t> offsets, uint64_t adjacency_size,
@@ -376,13 +365,10 @@ Status ValidateCsr(std::span<const uint64_t> offsets, uint64_t adjacency_size,
   return failure;
 }
 
-StatusOr<Graph> Graph::FromCsrView(CsrView view, bool deep_validation) {
-  const CsrSlotReader slots =
-      deep_validation ? SpanSlotReader(view.adjacency, view.incident)
-                      : CsrSlotReader();
+StatusOr<Graph> Graph::FromCsrView(CsrView view) {
   EDGESHED_RETURN_IF_ERROR(ValidateCsr(view.offsets, view.adjacency.size(),
                                        view.incident.size(), view.edges,
-                                       deep_validation ? &slots : nullptr));
+                                       /*slots=*/nullptr));
   Graph g;
   g.mapped_ = std::make_shared<const CsrView>(std::move(view));
   return g;
@@ -391,13 +377,10 @@ StatusOr<Graph> Graph::FromCsrView(CsrView view, bool deep_validation) {
 StatusOr<Graph> Graph::FromCsrParts(std::vector<uint64_t> offsets,
                                     std::vector<NodeId> adjacency,
                                     std::vector<EdgeId> incident,
-                                    std::vector<Edge> edges,
-                                    bool deep_validation) {
-  const CsrSlotReader slots =
-      deep_validation ? SpanSlotReader(adjacency, incident) : CsrSlotReader();
+                                    std::vector<Edge> edges) {
   EDGESHED_RETURN_IF_ERROR(ValidateCsr(offsets, adjacency.size(),
                                        incident.size(), edges,
-                                       deep_validation ? &slots : nullptr));
+                                       /*slots=*/nullptr));
   Graph g;
   g.offsets_ = std::move(offsets);
   g.adjacency_ = std::move(adjacency);

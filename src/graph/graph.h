@@ -92,21 +92,17 @@ class Graph {
   static StatusOr<Graph> FromEdges(NodeId num_nodes, std::vector<Edge> edges);
 
   /// Adopts pre-built CSR arrays without copying them (mmap zero-copy
-  /// loads) after ValidateCsr (below) over the view's spans.
-  /// `deep_validation=false` skips the O(n + m) content checks and trusts
-  /// the caller's integrity checking (checksums, or a ValidateCsr run of
-  /// its own) — the O(n) shape checks always run. InvalidArgument on any
-  /// violation.
-  static StatusOr<Graph> FromCsrView(CsrView view,
-                                     bool deep_validation = true);
+  /// loads) after ValidateCsr's (below) O(n) shape checks. The O(n + m)
+  /// content checks are the caller's: the snapshot loader runs them, with
+  /// the chunk CRCs, before adopting. InvalidArgument on a shape violation.
+  static StatusOr<Graph> FromCsrView(CsrView view);
 
   /// Owned-storage sibling of FromCsrView: adopts CSR vectors wholesale
-  /// (snapshot copy loads) after identical validation.
+  /// (snapshot copy loads) after the same shape checks.
   static StatusOr<Graph> FromCsrParts(std::vector<uint64_t> offsets,
                                       std::vector<NodeId> adjacency,
                                       std::vector<EdgeId> incident,
-                                      std::vector<Edge> edges,
-                                      bool deep_validation = true);
+                                      std::vector<Edge> edges);
 
   /// Empty graph (0 nodes, 0 edges).
   Graph() = default;
@@ -238,7 +234,7 @@ using CsrSlotReader =
     std::function<Status(uint64_t begin, uint64_t end, CsrSlotWindow* window)>;
 
 /// The one CSR validator, behind Graph::FromCsrView, Graph::FromCsrParts
-/// and the mmap snapshot load's verification. The O(n) shape checks always
+/// and the snapshot load's verification. The O(n) shape checks always
 /// run: offsets start at 0, never decrease, and end at the adjacency size,
 /// which is 2 * edges.size(), as is `incident_size`. With `slots` set it
 /// also runs the O(n + m) content checks on up to `threads` threads (0 =

@@ -103,15 +103,15 @@ std::string EncodeSnapshotHeader(const SnapshotHeader& header);
 ///  * header CRC mismatch              -> DataLoss
 ///  * section table inconsistent with the counts, misaligned sections,
 ///    chunk count disagreeing with the file size -> InvalidArgument
-/// Chunk CRCs are returned unverified; callers verify the data region with
-/// ComputeSnapshotChunkCrcs.
+/// Chunk CRCs are returned unverified; the loader verifies the data region
+/// against them (VerifySnapshotStreamed in graph/binary_io.cc).
 StatusOr<SnapshotHeader> DecodeSnapshotHeader(const char* data,
                                               uint64_t file_bytes,
                                               const std::string& path);
 
 /// CRC-32 of each `chunk_bytes`-sized chunk of the data region (last chunk
 /// short), computed in parallel. Writers call this after streaming the
-/// sections to fill the header table; loaders call it to verify.
+/// sections to fill the header table.
 std::vector<uint32_t> ComputeSnapshotChunkCrcs(const char* data,
                                                uint64_t data_bytes,
                                                uint64_t chunk_bytes,

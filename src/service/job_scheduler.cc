@@ -683,7 +683,7 @@ StatusOr<core::SheddingResult> JobScheduler::Execute(
     const JobSpec& spec, const CancellationToken* cancel,
     double* run_seconds) {
   if (spec.method == kIncrementalMethod) {
-    return ExecuteIncremental(spec, run_seconds);
+    return ExecuteIncremental(spec, cancel, run_seconds);
   }
   Stopwatch watch;
   // The graph load itself is not interruptible (it may be shared with other
@@ -744,7 +744,8 @@ StatusOr<core::SheddingResult> JobScheduler::Execute(
 }
 
 StatusOr<core::SheddingResult> JobScheduler::ExecuteIncremental(
-    const JobSpec& spec, double* run_seconds) {
+    const JobSpec& spec, const CancellationToken* cancel,
+    double* run_seconds) {
   Stopwatch watch;
   auto dyn_graph = store_->DynGraph(spec.dataset);
   if (!dyn_graph.ok()) {
@@ -786,7 +787,7 @@ StatusOr<core::SheddingResult> JobScheduler::ExecuteIncremental(
     }
     slot->session = std::make_unique<dyn::ShedSession>(*dyn_graph, options);
   }
-  auto reshed = slot->session->Reshed();
+  auto reshed = slot->session->Reshed(cancel);
   if (!reshed.ok()) {
     *run_seconds = watch.ElapsedSeconds();
     return reshed.status();

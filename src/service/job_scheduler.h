@@ -390,11 +390,12 @@ class JobScheduler {
   /// VersionedGraph and re-sheds against the current version. The kept set
   /// is returned as EdgeIds of the result version's canonical edge order —
   /// the same ids a from-scratch job on the materialized graph would
-  /// answer with. Not cooperatively cancellable mid-run (re-sheds after
-  /// small batches are far shorter than the cold run); a Cancel lands when
-  /// the run finishes.
-  StatusOr<core::SheddingResult> ExecuteIncremental(const JobSpec& spec,
-                                                    double* run_seconds);
+  /// answer with. `cancel` (Cancel() or the job's deadline) stops the
+  /// session's cold-start ranking mid-run, and an incremental pass before
+  /// it starts; a cancelled job leaves the session unchanged.
+  StatusOr<core::SheddingResult> ExecuteIncremental(
+      const JobSpec& spec, const CancellationToken* cancel,
+      double* run_seconds);
   /// Moves `job` to `state`, resolves followers and the result cache,
   /// updates metrics, wakes waiters. A cancelled primary promotes its first
   /// live follower to primary and re-queues it. Caller holds mu_.

@@ -9,11 +9,8 @@
 #include <memory>
 #include <tuple>
 
-#include "analytics/assortativity.h"
 #include "analytics/clustering.h"
-#include "analytics/closeness.h"
 #include "analytics/components.h"
-#include "analytics/kcore.h"
 #include "analytics/shortest_paths.h"
 #include "core/bm2.h"
 #include "core/crr.h"
@@ -85,33 +82,12 @@ TEST_P(SubgraphLawsTest, DegreesNeverGrow) {
   }
 }
 
-TEST_P(SubgraphLawsTest, CorenessNeverGrows) {
-  graph::Graph reduced = Reduce();
-  auto original_core = analytics::CoreDecomposition(*graph_);
-  auto reduced_core = analytics::CoreDecomposition(reduced);
-  for (graph::NodeId u = 0; u < graph_->NumNodes(); ++u) {
-    EXPECT_LE(reduced_core[u], original_core[u]) << "node " << u;
-  }
-}
-
 TEST_P(SubgraphLawsTest, TrianglesNeverGrow) {
   graph::Graph reduced = Reduce();
   auto original_triangles = analytics::TrianglesPerNode(*graph_);
   auto reduced_triangles = analytics::TrianglesPerNode(reduced);
   for (graph::NodeId u = 0; u < graph_->NumNodes(); ++u) {
     EXPECT_LE(reduced_triangles[u], original_triangles[u]);
-  }
-}
-
-TEST_P(SubgraphLawsTest, HarmonicCentralityNeverGrows) {
-  // Removing edges can only lengthen or sever shortest paths.
-  graph::Graph reduced = Reduce();
-  analytics::ClosenessOptions exact;
-  exact.exact_node_threshold = 1 << 20;
-  auto original = analytics::HarmonicCentrality(*graph_, exact);
-  auto shrunk = analytics::HarmonicCentrality(reduced, exact);
-  for (graph::NodeId u = 0; u < graph_->NumNodes(); ++u) {
-    EXPECT_LE(shrunk[u], original[u] + 1e-9) << "node " << u;
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
@@ -9,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/cancellation.h"
 #include "common/random.h"
 #include "core/crr.h"
 #include "core/discrepancy.h"
@@ -114,6 +116,53 @@ TEST(DynShedSession, ColdReshedMatchesCrrBitIdentically) {
       EXPECT_EQ(Stat(result->stats, "steps"), Stat(crr->stats, "steps"));
     }
   }
+}
+
+TEST(DynShedSession, CancelledColdStartLeavesSessionFresh) {
+  auto vg = std::make_shared<VersionedGraph>(RandomGraph(150, 350, 29));
+  auto fresh = ShedSession(vg, DynamicShedOptions{}).Reshed();
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+
+  CancellationToken counter;  // armed, never trips: counts the polls
+  counter.CancelOnPoll(std::numeric_limits<uint64_t>::max());
+  ASSERT_TRUE(ShedSession(vg, DynamicShedOptions{}).Reshed(&counter).ok());
+  const uint64_t trip = counter.Polls() / 2;
+  ASSERT_GT(trip, 0u);
+
+  ShedSession session(vg, DynamicShedOptions{});
+  CancellationToken token;
+  token.CancelOnPoll(trip);
+  auto cancelled = session.Reshed(&token);
+  EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+  EXPECT_FALSE(session.has_state());
+
+  auto result = session.Reshed(nullptr);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->kept, fresh->kept);
+  EXPECT_EQ(result->total_delta, fresh->total_delta);
+}
+
+TEST(DynShedSession, CancelledIncrementalPassLeavesSessionUnchanged) {
+  auto vg = std::make_shared<VersionedGraph>(RandomGraph(150, 350, 31));
+  ShedSession session(vg, DynamicShedOptions{});
+  ShedSession twin(vg, DynamicShedOptions{});
+  ASSERT_TRUE(session.Reshed().ok());
+  ASSERT_TRUE(twin.Reshed().ok());
+  ASSERT_TRUE(vg->ApplyBatch(Batch({{3, 77}}, {{0, 1}})).ok());
+
+  CancellationToken token;
+  token.CancelOnPoll(1);
+  auto cancelled = session.Reshed(&token);
+  EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(session.state_version(), 0u);
+
+  auto result = session.Reshed(nullptr);
+  auto want = twin.Reshed();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_FALSE(result->full_rank);
+  EXPECT_EQ(result->kept, want->kept);
+  EXPECT_EQ(result->total_delta, want->total_delta);
 }
 
 TEST(DynShedSession, ColdReshedOnMutatedOverlayMatchesCrrOnRebuild) {

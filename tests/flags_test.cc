@@ -65,5 +65,49 @@ TEST(FlagsTest, LastValueWins) {
   EXPECT_DOUBLE_EQ(flags.GetDouble("p", 0.0), 0.9);
 }
 
+TEST(FlagsTest, NamesListsGivenFlagsSorted) {
+  auto flags = MakeFlags({"--seed=1", "pos", "--full", "--p", "0.5"});
+  EXPECT_EQ(flags.names(), (std::vector<std::string>{"full", "p", "seed"}));
+}
+
+constexpr FlagSpec kAccepted[] = {{"method", FlagType::kString},
+                                  {"p", FlagType::kDouble},
+                                  {"seed", FlagType::kInt},
+                                  {"reshed", FlagType::kBool}};
+
+TEST(ValidateFlagsTest, AcceptsWellFormedKnownFlags) {
+  auto flags = MakeFlags({"--method=bm2", "--p=0.25", "--seed=-7", "--reshed"});
+  EXPECT_TRUE(ValidateFlags(flags, kAccepted).ok());
+  EXPECT_TRUE(ValidateFlags(MakeFlags({"--p=1e-3", "--reshed=0"}), kAccepted)
+                  .ok());
+}
+
+TEST(ValidateFlagsTest, UnknownFlagIsNamed) {
+  Status status = ValidateFlags(MakeFlags({"--methd=bm2"}), kAccepted);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("--methd"), std::string::npos);
+}
+
+TEST(ValidateFlagsTest, MalformedIntIsRejected) {
+  for (const char* arg : {"--seed=1e3", "--seed=12abc", "--seed=", "--seed"}) {
+    Status status = ValidateFlags(MakeFlags({arg}), kAccepted);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << arg;
+    EXPECT_NE(status.message().find("--seed"), std::string::npos) << arg;
+  }
+}
+
+TEST(ValidateFlagsTest, MalformedDoubleIsRejected) {
+  for (const char* arg : {"--p=0,5", "--p=half", "--p=0.5x"}) {
+    Status status = ValidateFlags(MakeFlags({arg}), kAccepted);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << arg;
+    EXPECT_NE(status.message().find("--p"), std::string::npos) << arg;
+  }
+}
+
+TEST(ValidateFlagsTest, MalformedBoolIsRejected) {
+  Status status = ValidateFlags(MakeFlags({"--reshed=yes"}), kAccepted);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace edgeshed::eval

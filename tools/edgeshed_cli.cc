@@ -1,49 +1,20 @@
 // edgeshed — command-line front end for the library.
 //
-// Commands:
-//   edgeshed reduce  --input=G.txt --method=crr|bm2|random|local-degree|
-//                    spanning-forest --p=0.5 [--output=R.txt] [--seed=42]
-//                    [--binary_output=R.esg]
-//   edgeshed analyze --input=G.txt [--tasks=degree,components,clustering,
-//                    pagerank,distance] [--top=10]
-//   edgeshed stats   --input=G.txt
-//   edgeshed convert --input=G.any --binary_output=G.esg [--output=G.txt]
-//                    [--page_align=4096] [--chunk_kb=1024]
-//                    [--external --budget_mb=256 [--temp_dir=DIR]]
-//   edgeshed generate --dataset=grqc|hepph|enron|livejournal --scale=1.0
-//                    --output=G.txt [--seed=...]
-//   edgeshed service --jobs=jobs.txt [--workers=N] [--queue=K]
-//                    [--store_budget_mb=M] [--scale=1.0] [--deadline_ms=D]
-//                    [--retention_jobs=N] [--retention_ms=T]
-//                    [--result_cache_mb=M] [--stats_port=P] [--linger_ms=T]
-//                    [--trace_out=trace.json]
-//   edgeshed serve   [--port=P] [--max_connections=N] [--max_inflight=N]
-//                    [--dispatch_threads=N] [--workers=N] [--queue=K]
-//                    [--scale=S] [--store_budget_mb=M]
-//                    [--edge_list=name=path[,name=path...]]
-//                    [--tenants=name:weight[:quota],...] [--degrade]
-//                    [--max_pending=N]
-//                    [--stats_port=P] [--serve_ms=T] [--public]
-//   edgeshed client  --op=ping|shed|wait|status|cancel|list|apply
-//                    [--host=H] [--port=P] [--dataset=D] [--method=M]
-//                    [--p=0.5] [--seed=N] [--deadline_ms=T] [--job_id=N]
-//                    [--tenant=NAME] [--priority]
-//                    [--mutations=M.txt] [--insert=u:v,...] [--delete=u:v,...]
-//                    [--no_wait] [--timeout_ms=T] [--retries=N]
-//   edgeshed mutate  --input=G.any --mutations=M.txt [--reshed] [--p=0.5]
-//                    [--seed=42] [--dirty_hops=0] [--decay_half_life=0]
-//                    [--compact_ratio=0.1] [--output=K.txt]
-//                    [--binary_output=G2.esg]
+//   edgeshed <mode> [--flag=value ...]
 //
-// Every command that takes --input sniffs the file format (SNAP text edge
-// list or "EDGSHED3" snapshot); --format pins it and --mmap=false forces
-// snapshots to be copied onto the heap instead of served zero-copy from a
-// file mapping (graph/source.h, DESIGN.md §14). `convert` re-encodes
-// between the two; with --external it streams a text edge list into a
-// snapshot under a fixed memory budget (graph/external_build.h). `service`
-// runs a batch of shedding jobs concurrently through src/service/
-// (GraphStore + JobScheduler) and prints the metrics snapshot; each
-// jobs-file line reads
+// kModes at the bottom of this file is the one list of modes and of the
+// flags each accepts, with their types; `edgeshed` with no mode prints it.
+// A flag the mode does not accept, or a value that does not parse as the
+// flag's type, exits 2 naming the flag.
+//
+// Every mode that takes --input sniffs the file format (SNAP text edge list
+// or "EDGSHED3" snapshot); --format pins it and --mmap=false copies a
+// snapshot onto the heap instead of serving it zero-copy from a file
+// mapping (graph/source.h, DESIGN.md §14). `convert` re-encodes between the
+// two; with --external it streams a text edge list into a snapshot under a
+// fixed memory budget (graph/external_build.h). `service` runs a batch of
+// shedding jobs concurrently through src/service/ (GraphStore +
+// JobScheduler) and prints the metrics snapshot; each jobs-file line reads
 //   dataset method p [seed] [deadline_ms]
 // with '#' comments. Without --jobs a built-in demo batch is used.
 //
@@ -59,9 +30,10 @@
 // Remote shedding (src/net/): `serve` runs the binary RPC server (loopback
 // by default; --public binds 0.0.0.0) in front of the same GraphStore +
 // JobScheduler until SIGINT/SIGTERM (or --serve_ms elapses); `client` issues
-// one RPC against a running server. A Shed submitted via `client` returns a
-// result identical to the same job run in-process, because the wire layer
-// dispatches onto the identical deterministic scheduler.
+// one RPC (--op=ping|shed|wait|status|cancel|list|apply) against a running
+// server. A Shed submitted via `client` returns a result identical to the
+// same job run in-process, because the wire layer dispatches onto the
+// identical deterministic scheduler.
 //
 // Dynamic graphs (src/dyn/, DESIGN.md §15): `mutate` replays a mutation
 // file (`+ u v` / `- u v` lines, `---` batch separators) against the input
@@ -117,44 +89,9 @@ using namespace edgeshed;
 
 namespace {
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: edgeshed <reduce|analyze|stats|convert|generate|service|"
-               "serve|client|mutate> [flags]\n"
-               "  reduce   --input=G.txt --method=crr --p=0.5 "
-               "[--output=R.txt] [--binary_output=R.esg] [--seed=42]\n"
-               "  analyze  --input=G.txt [--tasks=degree,components,"
-               "clustering,pagerank,distance] [--top=10]\n"
-               "  stats    --input=G.txt\n"
-               "  convert  --input=G.any [--binary_output=G.esg] "
-               "[--output=G.txt] [--page_align=4096] [--chunk_kb=1024] "
-               "[--external --budget_mb=256 [--temp_dir=DIR]]\n"
-               "  generate --dataset=grqc|hepph|enron|livejournal "
-               "--scale=1.0 --output=G.txt [--seed=N]\n"
-               "  service  [--jobs=jobs.txt] [--workers=N] [--queue=K] "
-               "[--store_budget_mb=M] [--scale=1.0] [--deadline_ms=D] "
-               "[--retention_jobs=N] [--retention_ms=T] "
-               "[--result_cache_mb=M] [--rank_cache_mb=M] [--stats_port=P] "
-               "[--linger_ms=T] [--trace_out=trace.json]\n"
-               "  serve    [--port=0] [--max_connections=64] "
-               "[--max_inflight=8] [--dispatch_threads=4] [--workers=N] "
-               "[--queue=K] [--scale=1.0] [--store_budget_mb=M] "
-               "[--edge_list=name=path,...] "
-               "[--tenants=name:weight[:quota],...] [--degrade] "
-               "[--max_pending=N] "
-               "[--stats_port=P] [--serve_ms=T] [--public]\n"
-               "  client   --op=ping|shed|wait|status|cancel|list|apply "
-               "[--host=127.0.0.1] [--port=P] [--dataset=D] [--method=crr] "
-               "[--p=0.5] [--seed=42] [--deadline_ms=T] [--job_id=N] "
-               "[--tenant=NAME] [--priority] [--mutations=M.txt] "
-               "[--insert=u:v,...] [--delete=u:v,...] "
-               "[--no_wait] [--timeout_ms=T] [--retries=N]\n"
-               "  mutate   --input=G.any --mutations=M.txt [--reshed] "
-               "[--p=0.5] [--seed=42] [--dirty_hops=0] "
-               "[--decay_half_life=0] [--compact_ratio=0.1] "
-               "[--output=K.txt] [--binary_output=G2.esg]\n");
-  return 2;
-}
+/// Prints the modes and their flags from kModes; returns the usage exit
+/// code, 2.
+int Usage();
 
 /// Shared ingest flags: --input takes any format (sniffed by default,
 /// pinned by --format), --mmap=false forces copy loads of snapshots.
@@ -1119,20 +1056,168 @@ int CmdMutate(const eval::Flags& flags) {
   return 0;
 }
 
+using eval::FlagType;
+
+// Flags LoadInput and SnapshotOptionsFromFlags read, in every mode that
+// calls them.
+const std::initializer_list<eval::FlagSpec> kLoadFlags = {
+    {"input", FlagType::kString},
+    {"format", FlagType::kString},
+    {"mmap", FlagType::kBool},
+    {"threads", FlagType::kInt}};
+const std::initializer_list<eval::FlagSpec> kSnapshotFlags = {
+    {"page_align", FlagType::kInt}, {"chunk_kb", FlagType::kInt}};
+
+std::vector<eval::FlagSpec> Join(
+    std::initializer_list<std::initializer_list<eval::FlagSpec>> groups) {
+  std::vector<eval::FlagSpec> joined;
+  for (const auto& group : groups) {
+    joined.insert(joined.end(), group.begin(), group.end());
+  }
+  return joined;
+}
+
+struct Mode {
+  std::string_view name;
+  int (*run)(const eval::Flags&);
+  std::vector<eval::FlagSpec> flags;  // every flag `run` reads
+};
+
+const Mode kModes[] = {
+    {"reduce", CmdReduce,
+     Join({kLoadFlags, kSnapshotFlags,
+           {{"method", FlagType::kString},
+            {"p", FlagType::kDouble},
+            {"seed", FlagType::kInt},
+            {"output", FlagType::kString},
+            {"binary_output", FlagType::kString}}})},
+    {"analyze", CmdAnalyze,
+     Join({kLoadFlags,
+           {{"tasks", FlagType::kString}, {"top", FlagType::kInt}}})},
+    {"stats", CmdStats, Join({kLoadFlags})},
+    {"convert", CmdConvert,
+     Join({kLoadFlags, kSnapshotFlags,
+           {{"binary_output", FlagType::kString},
+            {"output", FlagType::kString},
+            {"external", FlagType::kBool},
+            {"budget_mb", FlagType::kInt},
+            {"temp_dir", FlagType::kString}}})},
+    {"generate", CmdGenerate,
+     {{"dataset", FlagType::kString},
+      {"scale", FlagType::kDouble},
+      {"seed", FlagType::kInt},
+      {"output", FlagType::kString}}},
+    {"service", CmdService,
+     {{"jobs", FlagType::kString},
+      {"workers", FlagType::kInt},
+      {"queue", FlagType::kInt},
+      {"store_budget_mb", FlagType::kInt},
+      {"scale", FlagType::kDouble},
+      {"dataset_seed", FlagType::kInt},
+      {"deadline_ms", FlagType::kInt},
+      {"retention_jobs", FlagType::kInt},
+      {"retention_ms", FlagType::kInt},
+      {"result_cache_mb", FlagType::kInt},
+      {"rank_cache_mb", FlagType::kInt},
+      {"stats_port", FlagType::kInt},
+      {"linger_ms", FlagType::kInt},
+      {"trace_out", FlagType::kString}}},
+    {"serve", CmdServe,
+     {{"port", FlagType::kInt},
+      {"public", FlagType::kBool},
+      {"max_connections", FlagType::kInt},
+      {"max_inflight", FlagType::kInt},
+      {"max_pending", FlagType::kInt},
+      {"dispatch_threads", FlagType::kInt},
+      {"idle_timeout_ms", FlagType::kInt},
+      {"workers", FlagType::kInt},
+      {"queue", FlagType::kInt},
+      {"scale", FlagType::kDouble},
+      {"dataset_seed", FlagType::kInt},
+      {"store_budget_mb", FlagType::kInt},
+      {"rank_cache_mb", FlagType::kInt},
+      {"edge_list", FlagType::kString},
+      {"tenants", FlagType::kString},
+      {"degrade", FlagType::kBool},
+      {"stats_port", FlagType::kInt},
+      {"serve_ms", FlagType::kInt}}},
+    {"client", CmdClient,
+     {{"op", FlagType::kString},
+      {"host", FlagType::kString},
+      {"port", FlagType::kInt},
+      {"timeout_ms", FlagType::kInt},
+      {"retries", FlagType::kInt},
+      {"dataset", FlagType::kString},
+      {"method", FlagType::kString},
+      {"p", FlagType::kDouble},
+      {"seed", FlagType::kInt},
+      {"deadline_ms", FlagType::kInt},
+      {"no_wait", FlagType::kBool},
+      {"tenant", FlagType::kString},
+      {"priority", FlagType::kBool},
+      {"job_id", FlagType::kInt},
+      {"mutations", FlagType::kString},
+      {"insert", FlagType::kString},
+      {"delete", FlagType::kString}}},
+    {"mutate", CmdMutate,
+     Join({kLoadFlags, kSnapshotFlags,
+           {{"mutations", FlagType::kString},
+            {"compact_ratio", FlagType::kDouble},
+            {"auto_compact", FlagType::kBool},
+            {"reshed", FlagType::kBool},
+            {"p", FlagType::kDouble},
+            {"seed", FlagType::kInt},
+            {"dirty_hops", FlagType::kInt},
+            {"decay_half_life", FlagType::kDouble},
+            {"output", FlagType::kString},
+            {"binary_output", FlagType::kString}}})},
+};
+
+/// One usage line per mode: its name, then `--flag=<type>` for each flag,
+/// wrapped under the first.
+void PrintModeUsage(const Mode& mode) {
+  std::string line = StrFormat("  %-9.*s", static_cast<int>(mode.name.size()),
+                               mode.name.data());
+  const size_t indent = line.size();
+  for (const eval::FlagSpec& flag : mode.flags) {
+    const std::string item =
+        StrFormat(" --%s=<%s>", flag.name, eval::FlagTypeName(flag.type));
+    if (line.size() + item.size() > 79 && line.size() > indent) {
+      std::fprintf(stderr, "%s\n", line.c_str());
+      line.assign(indent, ' ');
+    }
+    line += item;
+  }
+  std::fprintf(stderr, "%s\n", line.c_str());
+}
+
+int Usage() {
+  std::fprintf(stderr, "usage: edgeshed <mode> [--flag=value ...]\n");
+  for (const Mode& mode : kModes) PrintModeUsage(mode);
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   eval::Flags flags(argc, argv);
   if (flags.positional().empty()) return Usage();
   const std::string& command = flags.positional()[0];
-  if (command == "reduce") return CmdReduce(flags);
-  if (command == "analyze") return CmdAnalyze(flags);
-  if (command == "stats") return CmdStats(flags);
-  if (command == "convert") return CmdConvert(flags);
-  if (command == "generate") return CmdGenerate(flags);
-  if (command == "service") return CmdService(flags);
-  if (command == "serve") return CmdServe(flags);
-  if (command == "client") return CmdClient(flags);
-  if (command == "mutate") return CmdMutate(flags);
+  for (const Mode& mode : kModes) {
+    if (mode.name != command) continue;
+    Status valid = eval::ValidateFlags(flags, mode.flags);
+    if (valid.ok() && flags.positional().size() > 1) {
+      valid = Status::InvalidArgument("unexpected argument: " +
+                                      flags.positional()[1]);
+    }
+    if (!valid.ok()) {
+      std::fprintf(stderr, "edgeshed %s: %s\nusage:\n", command.c_str(),
+                   valid.message().c_str());
+      PrintModeUsage(mode);
+      return 2;
+    }
+    return mode.run(flags);
+  }
+  std::fprintf(stderr, "edgeshed: unknown mode '%s'\n", command.c_str());
   return Usage();
 }
