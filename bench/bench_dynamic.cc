@@ -19,7 +19,12 @@
 // incremental result "inside the ceiling" is as close to the cold answer
 // as another cold run would be.
 //
-// Three in-process gates enforce the ISSUE-10 acceptance bars on every run:
+// A last series, apply_batch_1pct_steady, applies 1% batches under the
+// default VersionedGraphOptions (background compaction on) until two
+// compactions have landed, so its batches meet every overlay size the
+// compaction trigger allows, and installs mid-stream.
+//
+// Four in-process gates run on every run:
 //   - at the 1% rate the incremental re-shed must be >= 10x faster than a
 //     cold shed of the same mutated version (medians over --repeats) and
 //     must actually take the incremental path (no full-rank fallback);
@@ -27,7 +32,10 @@
 //     self-overlap ceiling (>= ceiling - 0.02 slack);
 //   - compacting the mutated history must produce a base CSR bit-identical
 //     to Graph::FromEdges over the live edge list (offsets, adjacency, and
-//     incident arrays compared element-wise).
+//     incident arrays compared element-wise);
+//   - the steady-state ApplyBatch median must be at most 2x the
+//     apply_batch_1pct median, whose batches start on an empty overlay: a
+//     batch costs O(batch), not O(overlay).
 // The 5% rate is expected to cross full_rank_dirty_bound and fall back to
 // a full ranking pass — that row documents the escape hatch, not a gate.
 //
@@ -35,7 +43,8 @@
 //   bench_dynamic [--out=BENCH_dynamic.json] [--repeats=5] [--smoke]
 //                 [--verbose] [--rev=<git sha>]
 //
-// --rev defaults to $EDGESHED_GIT_REV, then "unknown".
+// --rev defaults to $EDGESHED_GIT_REV, then "unknown". Any other flag, or a
+// malformed value, exits 2.
 
 #include <algorithm>
 #include <cmath>
@@ -208,7 +217,13 @@ void WriteJson(const std::string& path, const std::string& rev, int repeats,
 }
 
 int Main(int argc, char** argv) {
-  eval::Flags flags(argc, argv);
+  static constexpr eval::FlagSpec kFlags[] = {
+      {"out", eval::FlagType::kString},
+      {"repeats", eval::FlagType::kInt},
+      {"smoke", eval::FlagType::kBool},
+      {"verbose", eval::FlagType::kBool},
+      {"rev", eval::FlagType::kString}};
+  const eval::Flags flags = eval::ParseFlagsOrExit(argc, argv, kFlags);
   const std::string out = flags.GetString("out", "BENCH_dynamic.json");
   const int repeats = static_cast<int>(flags.GetInt("repeats", 5));
   const bool smoke = flags.GetBool("smoke", false);
@@ -383,7 +398,51 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // --- ISSUE-10 acceptance gates -----------------------------------------
+  // Steady-state apply: 1% batches under the default options, so the
+  // overlay grows, background compactions fold it, and batches land while
+  // a compactor runs or installs. Runs until two compactions have landed.
+  std::vector<double> steady_seconds;
+  {
+    auto vg = std::make_shared<dyn::VersionedGraph>(base);
+    Rng steady_rng(17);
+    std::shared_ptr<const graph::Graph> current_base = base;
+    int compactions = 0;
+    while (compactions < 2) {
+      EDGESHED_CHECK_LT(steady_seconds.size(), 1000u)
+          << "two compactions did not land in 1000 batches";
+      graph::MutationBatch batch = MakeBatch(
+          *vg->Snapshot(), reports[1].mutations_per_batch, &steady_rng);
+      Stopwatch apply_watch;
+      auto version = vg->ApplyBatch(std::move(batch));
+      EDGESHED_CHECK(version.ok()) << version.status().ToString();
+      steady_seconds.push_back(apply_watch.ElapsedSeconds());
+      std::shared_ptr<const graph::Graph> head_base = vg->Snapshot()->base();
+      if (head_base != current_base) {
+        ++compactions;
+        current_base = std::move(head_base);
+      }
+    }
+  }
+  const double first_apply_median_1pct =
+      std::find_if(results.begin(), results.end(), [](const BenchResult& r) {
+        return r.op == "apply_batch_1pct";
+      })->median_seconds;
+  results.push_back(MakeResult(graph_name, n, edges,
+                               "apply_batch_1pct_steady", steady_seconds));
+  const double steady_apply_median_1pct = results.back().median_seconds;
+
+  // --- Acceptance gates ---------------------------------------------------
+  // A batch must cost O(batch), not O(overlay): applying it on the steady
+  // overlay may cost at most twice what it costs on a near-empty one.
+  std::printf("gate: steady apply at 1%% = %.4fs over %zu batches vs %.4fs "
+              "for apply_batch_1pct (%.2fx)\n",
+              steady_apply_median_1pct, steady_seconds.size(),
+              first_apply_median_1pct,
+              steady_apply_median_1pct / first_apply_median_1pct);
+  EDGESHED_CHECK_LE(steady_apply_median_1pct, 2.0 * first_apply_median_1pct)
+      << "steady-state ApplyBatch median grew past 2x the apply_batch_1pct "
+      << "median: a batch costs more as the overlay grows";
+
   // Speedup compares like for like: the incremental re-shed against a cold
   // shed of the *same mutated version* (which pays overlay materialization,
   // exactly as a from-scratch job would).

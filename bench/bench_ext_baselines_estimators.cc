@@ -15,7 +15,7 @@
 using namespace edgeshed;
 
 int main(int argc, char** argv) {
-  eval::Flags flags(argc, argv);
+  const eval::Flags flags = bench::ParseBenchFlags(argc, argv);
   eval::BenchConfig config = eval::ParseBenchConfig(flags);
   bench::PrintBenchHeader(
       "Extension — extra baselines and original-graph estimators", config);

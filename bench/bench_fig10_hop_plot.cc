@@ -10,7 +10,7 @@
 using namespace edgeshed;
 
 int main(int argc, char** argv) {
-  eval::Flags flags(argc, argv);
+  const eval::Flags flags = bench::ParseBenchFlags(argc, argv);
   eval::BenchConfig config = eval::ParseBenchConfig(flags);
   bench::PrintBenchHeader("Fig. 10 — hop-plot", config);
   eval::TaskOptions task_options = bench::BenchTaskOptions(config.full);

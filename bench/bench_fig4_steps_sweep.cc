@@ -12,7 +12,8 @@
 using namespace edgeshed;
 
 int main(int argc, char** argv) {
-  eval::Flags flags(argc, argv);
+  const eval::Flags flags =
+      bench::ParseBenchFlags(argc, argv, {{"p", eval::FlagType::kDouble}});
   eval::BenchConfig config = eval::ParseBenchConfig(flags);
   const double p = flags.GetDouble("p", 0.5);
   bench::PrintBenchHeader("Fig. 4 — CRR steps sweep (steps = x * P)", config);

@@ -38,7 +38,7 @@ void PrintSeries(const std::string& dataset_label, double p,
 }  // namespace
 
 int main(int argc, char** argv) {
-  eval::Flags flags(argc, argv);
+  const eval::Flags flags = bench::ParseBenchFlags(argc, argv);
   eval::BenchConfig config = eval::ParseBenchConfig(flags);
   bench::PrintBenchHeader(
       "Fig. 5(c)-(d) + Fig. 6 — vertex degree distribution (email-Enron)",

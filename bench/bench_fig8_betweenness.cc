@@ -45,7 +45,8 @@ std::map<int64_t, double> MeanByDegreeBucket(
 }  // namespace
 
 int main(int argc, char** argv) {
-  eval::Flags flags(argc, argv);
+  const eval::Flags flags =
+      bench::ParseBenchFlags(argc, argv, {{"p", eval::FlagType::kDouble}});
   eval::BenchConfig config = eval::ParseBenchConfig(flags);
   const double p = flags.GetDouble("p", 0.5);
   bench::PrintBenchHeader("Fig. 8 — betweenness centrality vs vertex degree",

@@ -41,7 +41,7 @@ std::map<int64_t, double> MeanClusteringByBucket(const graph::Graph& g) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  eval::Flags flags(argc, argv);
+  const eval::Flags flags = bench::ParseBenchFlags(argc, argv);
   eval::BenchConfig config = eval::ParseBenchConfig(flags);
   bench::PrintBenchHeader("Fig. 9 — clustering coefficient vs vertex degree",
                           config);

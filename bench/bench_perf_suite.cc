@@ -444,7 +444,13 @@ void WriteJson(const std::string& path, const std::string& rev, int repeats,
 }
 
 int Main(int argc, char** argv) {
-  eval::Flags flags(argc, argv);
+  static constexpr eval::FlagSpec kFlags[] = {
+      {"out", eval::FlagType::kString},
+      {"repeats", eval::FlagType::kInt},
+      {"smoke", eval::FlagType::kBool},
+      {"p", eval::FlagType::kDouble},
+      {"rev", eval::FlagType::kString}};
+  const eval::Flags flags = eval::ParseFlagsOrExit(argc, argv, kFlags);
   const std::string out = flags.GetString("out", "BENCH_hotpath.json");
   const int repeats = static_cast<int>(flags.GetInt("repeats", 5));
   const bool smoke = flags.GetBool("smoke", false);

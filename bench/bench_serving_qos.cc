@@ -127,7 +127,15 @@ struct LoopCounters {
 };
 
 int Main(int argc, char** argv) {
-  eval::Flags flags(argc, argv);
+  static constexpr eval::FlagSpec kFlags[] = {
+      {"out", eval::FlagType::kString},
+      {"smoke", eval::FlagType::kBool},
+      {"seconds", eval::FlagType::kInt},
+      {"clients", eval::FlagType::kInt},
+      {"latency_jobs", eval::FlagType::kInt},
+      {"method", eval::FlagType::kString},
+      {"rev", eval::FlagType::kString}};
+  const eval::Flags flags = eval::ParseFlagsOrExit(argc, argv, kFlags);
   const std::string out = flags.GetString("out", "BENCH_serving.json");
   const bool smoke = flags.GetBool("smoke", false);
   // The fairness window needs enough completed jobs for the DRR ratio to

@@ -12,7 +12,7 @@
 using namespace edgeshed;
 
 int main(int argc, char** argv) {
-  eval::Flags flags(argc, argv);
+  const eval::Flags flags = bench::ParseBenchFlags(argc, argv);
   eval::BenchConfig config = eval::ParseBenchConfig(flags);
   bench::PrintBenchHeader(
       "Table X — utility of link prediction within community", config);

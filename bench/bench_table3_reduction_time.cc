@@ -13,7 +13,8 @@
 using namespace edgeshed;
 
 int main(int argc, char** argv) {
-  eval::Flags flags(argc, argv);
+  const eval::Flags flags =
+      bench::ParseBenchFlags(argc, argv, {{"uds", eval::FlagType::kBool}});
   eval::BenchConfig config = eval::ParseBenchConfig(flags);
   const bool run_uds = flags.GetBool("uds", true);
   bench::PrintBenchHeader("Table III — graph reduction time (sec)", config);

@@ -14,7 +14,7 @@
 using namespace edgeshed;
 
 int main(int argc, char** argv) {
-  eval::Flags flags(argc, argv);
+  const eval::Flags flags = bench::ParseBenchFlags(argc, argv);
   eval::BenchConfig config = eval::ParseBenchConfig(flags);
   bench::PrintBenchHeader(
       "Tables IV-V — total processing time on ca-GrQc (sec)", config);

@@ -12,7 +12,8 @@
 using namespace edgeshed;
 
 int main(int argc, char** argv) {
-  eval::Flags flags(argc, argv);
+  const eval::Flags flags =
+      bench::ParseBenchFlags(argc, argv, {{"t", eval::FlagType::kDouble}});
   eval::BenchConfig config = eval::ParseBenchConfig(flags);
   const double t_percent = flags.GetDouble("t", 10.0);
   bench::PrintBenchHeader("Tables VIII-IX — utility of Top-10% queries",

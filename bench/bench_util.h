@@ -2,7 +2,9 @@
 #define EDGESHED_BENCH_BENCH_UTIL_H_
 
 #include <cstdio>
+#include <initializer_list>
 #include <string>
+#include <vector>
 
 #include "analytics/betweenness.h"
 #include "baseline/uds.h"
@@ -16,6 +18,20 @@
 #include "graph/datasets.h"
 
 namespace edgeshed::bench {
+
+/// Parses a bench binary's flags: the ones eval::ParseBenchConfig reads
+/// (--scale, --full, --seed, --data_dir) plus the binary's own `extra`.
+/// Anything else, or a malformed value, exits 2 naming it.
+inline eval::Flags ParseBenchFlags(
+    int argc, char** argv, std::initializer_list<eval::FlagSpec> extra = {}) {
+  std::vector<eval::FlagSpec> accepted = {
+      {"scale", eval::FlagType::kDouble},
+      {"full", eval::FlagType::kBool},
+      {"seed", eval::FlagType::kInt},
+      {"data_dir", eval::FlagType::kString}};
+  accepted.insert(accepted.end(), extra);
+  return eval::ParseFlagsOrExit(argc, argv, accepted);
+}
 
 /// Betweenness settings used across the harness on a laptop-class budget:
 /// exact Brandes below 4096 vertices, 256 sampled pivots above

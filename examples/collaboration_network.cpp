@@ -21,7 +21,11 @@
 using namespace edgeshed;
 
 int main(int argc, char** argv) {
-  eval::Flags flags(argc, argv);
+  static constexpr eval::FlagSpec kFlags[] = {
+      {"p", eval::FlagType::kDouble},
+      {"dataset", eval::FlagType::kString},
+      {"scale", eval::FlagType::kDouble}};
+  const eval::Flags flags = eval::ParseFlagsOrExit(argc, argv, kFlags);
   const double p = flags.GetDouble("p", 0.4);
   const std::string dataset = flags.GetString("dataset", "grqc");
 

@@ -22,7 +22,11 @@
 using namespace edgeshed;
 
 int main(int argc, char** argv) {
-  eval::Flags flags(argc, argv);
+  static constexpr eval::FlagSpec kFlags[] = {
+      {"p", eval::FlagType::kDouble},
+      {"method", eval::FlagType::kString},
+      {"scale", eval::FlagType::kDouble}};
+  const eval::Flags flags = eval::ParseFlagsOrExit(argc, argv, kFlags);
   const double p = flags.GetDouble("p", 0.5);
   const std::string method = flags.GetString("method", "bm2");
 

@@ -22,7 +22,11 @@
 using namespace edgeshed;
 
 int main(int argc, char** argv) {
-  eval::Flags flags(argc, argv);
+  static constexpr eval::FlagSpec kFlags[] = {
+      {"nodes", eval::FlagType::kInt},
+      {"noise_fraction", eval::FlagType::kDouble},
+      {"p", eval::FlagType::kDouble}};
+  const eval::Flags flags = eval::ParseFlagsOrExit(argc, argv, kFlags);
   const auto nodes =
       static_cast<graph::NodeId>(flags.GetInt("nodes", 2000));
   const double noise_fraction = flags.GetDouble("noise_fraction", 0.3);

@@ -19,7 +19,10 @@
 using namespace edgeshed;
 
 int main(int argc, char** argv) {
-  eval::Flags flags(argc, argv);
+  static constexpr eval::FlagSpec kFlags[] = {
+      {"p", eval::FlagType::kDouble},
+      {"edge_list", eval::FlagType::kString}};
+  const eval::Flags flags = eval::ParseFlagsOrExit(argc, argv, kFlags);
   const double p = flags.GetDouble("p", 0.5);
   const std::string edge_list = flags.GetString("edge_list", "");
 

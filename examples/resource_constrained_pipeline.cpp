@@ -35,7 +35,10 @@ double GraphMegabytes(uint64_t nodes, uint64_t edges) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  eval::Flags flags(argc, argv);
+  static constexpr eval::FlagSpec kFlags[] = {
+      {"budget_mb", eval::FlagType::kDouble},
+      {"dataset_scale", eval::FlagType::kDouble}};
+  const eval::Flags flags = eval::ParseFlagsOrExit(argc, argv, kFlags);
   const double budget_mb = flags.GetDouble("budget_mb", 8.0);
 
   graph::DatasetOptions options;

@@ -26,7 +26,12 @@
 using namespace edgeshed;
 
 int main(int argc, char** argv) {
-  eval::Flags flags(argc, argv);
+  static constexpr eval::FlagSpec kFlags[] = {
+      {"clients", eval::FlagType::kInt},
+      {"scale", eval::FlagType::kDouble},
+      {"budget_kb", eval::FlagType::kInt},
+      {"workers", eval::FlagType::kInt}};
+  const eval::Flags flags = eval::ParseFlagsOrExit(argc, argv, kFlags);
   const int clients = static_cast<int>(flags.GetInt("clients", 4));
   const double scale = flags.GetDouble("scale", 0.3);
 

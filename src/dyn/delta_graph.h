@@ -2,21 +2,19 @@
 #define EDGESHED_DYN_DELTA_GRAPH_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/statusor.h"
 #include "graph/graph.h"
-#include "graph/mutation_io.h"
 
 namespace edgeshed::dyn {
 
-/// One immutable version of a dynamic graph: a hash-indexed delta overlay on
-/// top of a shared immutable CSR base (DESIGN.md §15).
+/// One immutable version of a dynamic graph: a delta overlay of flat sorted
+/// arrays on top of a shared immutable CSR base (DESIGN.md §15).
 ///
 /// A DeltaGraph is the subsystem's `GraphView`: it exposes the same accessor
 /// shapes as `graph::Graph` (NumNodes/NumEdges/Degree/HasEdge plus sorted
@@ -48,9 +46,13 @@ class DeltaGraph {
 
   /// True iff {u, v} is live in this version.
   bool HasEdge(graph::NodeId u, graph::NodeId v) const {
-    if (inserted_keys_.count(graph::EdgeKey(u, v)) != 0) return true;
+    const graph::Edge key{std::min(u, v), std::max(u, v)};
+    if (std::binary_search(inserted_.begin(), inserted_.end(), key)) {
+      return true;
+    }
     const graph::EdgeId id = base_->FindEdge(u, v);
-    return id != graph::kInvalidEdge && deleted_ids_.count(id) == 0;
+    return id != graph::kInvalidEdge &&
+           !std::binary_search(deleted_ids_.begin(), deleted_ids_.end(), id);
   }
 
   /// Overlay size: edges inserted plus edges deleted relative to the base.
@@ -74,40 +76,38 @@ class DeltaGraph {
   template <typename Fn>
   void ForEachNeighbor(graph::NodeId u, Fn&& fn) const {
     const std::span<const graph::NodeId> base_nbrs = base_->Neighbors(u);
-    const std::span<const graph::NodeId> del = DeletedAdj(u);
-    const std::span<const graph::NodeId> ins = InsertedAdj(u);
+    const std::span<const graph::Edge> del = DeletedAdj(u);
+    const std::span<const graph::Edge> ins = InsertedAdj(u);
     size_t bi = 0;
     size_t di = 0;
     size_t ii = 0;
     while (bi < base_nbrs.size() || ii < ins.size()) {
       const bool take_base =
           bi < base_nbrs.size() &&
-          (ii >= ins.size() || base_nbrs[bi] < ins[ii]);
+          (ii >= ins.size() || base_nbrs[bi] < ins[ii].v);
       if (take_base) {
         const graph::NodeId n = base_nbrs[bi++];
-        while (di < del.size() && del[di] < n) ++di;
-        if (di < del.size() && del[di] == n) {
+        while (di < del.size() && del[di].v < n) ++di;
+        if (di < del.size() && del[di].v == n) {
           ++di;
           continue;
         }
         fn(n);
       } else {
-        fn(ins[ii++]);
+        fn(ins[ii++].v);
       }
     }
   }
 
   /// Calls `fn(const Edge&)` for every live edge in canonical sorted order —
   /// exactly the edges() order of the materialized graph. Sorted merge of
-  /// the base edge list with the sorted insert list; deleted base ids are
-  /// sorted once per call and skipped with a cursor, since the walk visits
-  /// base ids in ascending order.
+  /// the base edge list with the sorted insert list; the ascending deleted
+  /// ids are skipped with a cursor, since the walk visits base ids in
+  /// ascending order.
   template <typename Fn>
   void ForEachLiveEdge(Fn&& fn) const {
     const std::span<const graph::Edge> base_edges = base_->edges();
-    std::vector<graph::EdgeId> deleted(deleted_ids_.begin(),
-                                       deleted_ids_.end());
-    std::sort(deleted.begin(), deleted.end());
+    const std::vector<graph::EdgeId>& deleted = deleted_ids_;
     size_t bi = 0;
     size_t di = 0;
     size_t ii = 0;
@@ -139,8 +139,8 @@ class DeltaGraph {
 
   /// Edges inserted relative to the base, canonical sorted order.
   const std::vector<graph::Edge>& inserted() const { return inserted_; }
-  /// Base EdgeIds deleted in this version.
-  const std::unordered_set<graph::EdgeId>& deleted_ids() const {
+  /// Base EdgeIds deleted in this version, ascending.
+  const std::vector<graph::EdgeId>& deleted_ids() const {
     return deleted_ids_;
   }
 
@@ -149,28 +149,54 @@ class DeltaGraph {
 
   DeltaGraph() = default;
 
-  std::span<const graph::NodeId> InsertedAdj(graph::NodeId u) const {
-    const auto it = ins_adj_.find(u);
-    return it == ins_adj_.end() ? std::span<const graph::NodeId>()
-                                : std::span<const graph::NodeId>(it->second);
+  /// Vertices per stretch of a source index: 64.
+  static constexpr int kIndexShift = 6;
+
+  /// index[b] is the first position in `adj` (sorted by (u, v)) whose
+  /// source is at least b << kIndexShift, for b up to
+  /// (num_nodes >> kIndexShift) + 1, so a lookup searches one stretch of
+  /// 64 vertices instead of the whole array. Empty for an empty `adj`.
+  static std::vector<size_t> SourceIndex(const std::vector<graph::Edge>& adj,
+                                         uint64_t num_nodes);
+
+  /// The (u, v) pairs of `adj` with source u: one contiguous run inside
+  /// u's stretch of `index`.
+  static std::span<const graph::Edge> AdjOf(const std::vector<graph::Edge>& adj,
+                                            const std::vector<size_t>& index,
+                                            graph::NodeId u) {
+    if (adj.empty()) return {};
+    const size_t b = u >> kIndexShift;
+    const auto last = adj.begin() + static_cast<ptrdiff_t>(index[b + 1]);
+    const auto lo = std::lower_bound(
+        adj.begin() + static_cast<ptrdiff_t>(index[b]), last, u,
+        [](const graph::Edge& e, graph::NodeId x) { return e.u < x; });
+    auto hi = lo;
+    while (hi != last && hi->u == u) ++hi;
+    return {lo, hi};
   }
-  std::span<const graph::NodeId> DeletedAdj(graph::NodeId u) const {
-    const auto it = del_adj_.find(u);
-    return it == del_adj_.end() ? std::span<const graph::NodeId>()
-                                : std::span<const graph::NodeId>(it->second);
+  std::span<const graph::Edge> InsertedAdj(graph::NodeId u) const {
+    return AdjOf(ins_adj_, ins_index_, u);
+  }
+  std::span<const graph::Edge> DeletedAdj(graph::NodeId u) const {
+    return AdjOf(del_adj_, del_index_, u);
   }
 
   std::shared_ptr<const graph::Graph> base_;
   uint64_t version_ = 0;
 
-  // Inserted edges: canonical sorted list + packed-key hash index.
+  // The overlay, four flat sorted arrays rebuilt by one merge per batch
+  // (VersionedGraph::ApplyToDelta). Inserted edges, canonical sorted; they
+  // are never base edges (re-inserting a deleted base edge un-deletes it).
   std::vector<graph::Edge> inserted_;
-  std::unordered_set<uint64_t> inserted_keys_;
-  // Deleted base edges by EdgeId, plus a per-vertex sorted skip-list of
-  // deleted neighbors (the degree adjustment and merge input).
-  std::unordered_set<graph::EdgeId> deleted_ids_;
-  std::unordered_map<graph::NodeId, std::vector<graph::NodeId>> ins_adj_;
-  std::unordered_map<graph::NodeId, std::vector<graph::NodeId>> del_adj_;
+  // Deleted base edges by EdgeId, ascending.
+  std::vector<graph::EdgeId> deleted_ids_;
+  // Both directions (u, v) and (v, u) of every inserted / deleted edge,
+  // sorted by (u, v): a vertex's overlay neighbors are one ascending run.
+  // Each has its SourceIndex beside it.
+  std::vector<graph::Edge> ins_adj_;
+  std::vector<graph::Edge> del_adj_;
+  std::vector<size_t> ins_index_;
+  std::vector<size_t> del_index_;
 };
 
 }  // namespace edgeshed::dyn

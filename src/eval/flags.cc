@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstdio>
 #include <cstdlib>
 #include <string_view>
 
@@ -122,6 +123,24 @@ Status ValidateFlags(const Flags& flags, std::span<const FlagSpec> accepted) {
     }
   }
   return Status::OK();
+}
+
+Flags ParseFlagsOrExit(int argc, char** argv,
+                       std::span<const FlagSpec> accepted) {
+  Flags flags(argc, argv);
+  Status valid = ValidateFlags(flags, accepted);
+  if (valid.ok() && !flags.positional().empty()) {
+    valid = Status::InvalidArgument("unexpected argument: " +
+                                    flags.positional()[0]);
+  }
+  if (valid.ok()) return flags;
+  std::fprintf(stderr, "%s: %s\naccepted flags:\n",
+               argc > 0 ? argv[0] : "?", valid.message().c_str());
+  for (const FlagSpec& spec : accepted) {
+    std::fprintf(stderr, "  --%s=<%s>\n", spec.name,
+                 FlagTypeName(spec.type));
+  }
+  std::exit(2);
 }
 
 }  // namespace edgeshed::eval

@@ -54,6 +54,13 @@ const char* FlagTypeName(FlagType type);
 /// floating-point literal, a bool one of true/false/1/0.
 Status ValidateFlags(const Flags& flags, std::span<const FlagSpec> accepted);
 
+/// Parses argv for a program that takes exactly the flags in `accepted` and
+/// no positional argument. An unknown flag, a value that does not parse as
+/// its type, or a positional argument prints the error and the accepted
+/// flags to stderr and exits 2.
+Flags ParseFlagsOrExit(int argc, char** argv,
+                       std::span<const FlagSpec> accepted);
+
 }  // namespace edgeshed::eval
 
 #endif  // EDGESHED_EVAL_FLAGS_H_

@@ -24,8 +24,8 @@ struct MutationBatch {
   size_t size() const { return inserts.size() + deletes.size(); }
 };
 
-/// Canonical packed key for an undirected edge with u <= v. Used by the
-/// overlay's hash indexes and by batch-level duplicate detection.
+/// Canonical packed key for an undirected edge with u <= v. Used by
+/// batch-level duplicate detection and the incremental shedder's edge maps.
 inline uint64_t EdgeKey(NodeId u, NodeId v) {
   if (u > v) std::swap(u, v);
   return (static_cast<uint64_t>(u) << 32) | static_cast<uint64_t>(v);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "dyn/delta_graph.h"
@@ -134,6 +135,61 @@ TEST(DynDeltaGraph, RejectsNonLiveDeleteAndLiveInsertNamingPair) {
   EXPECT_EQ(vg.Snapshot()->NumEdges(), 6u);
 }
 
+TEST(DynDeltaGraph, BatchRejectedAtItsLastEntryLeavesHeadUnchanged) {
+  VersionedGraphOptions options;
+  options.auto_compact = false;
+  VersionedGraph vg(testing::Cycle(8), options);
+  ASSERT_TRUE(vg.ApplyBatch(Batch({{0, 4}, {2, 6}}, {{0, 1}, {3, 4}})).ok());
+  const auto head = vg.Snapshot();
+  const std::vector<Edge> live = head->LiveEdges();
+
+  // Every entry is valid except the last insert: {1, 2} is a live base
+  // edge, {2, 6} a live overlay insert.
+  for (const Edge last : {Edge{2, 1}, Edge{6, 2}}) {
+    auto rejected = vg.ApplyBatch(Batch({{0, 1}, {1, 5}, {3, 7}, last},
+                                        {{0, 4}, {5, 6}, {0, 7}}));
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+    const std::string pair = "{" + std::to_string(std::min(last.u, last.v)) +
+                             ", " + std::to_string(std::max(last.u, last.v)) +
+                             "}";
+    EXPECT_NE(rejected.status().message().find(
+                  "insert of already-live edge " + pair),
+              std::string::npos)
+        << rejected.status().message();
+    EXPECT_EQ(vg.CurrentVersion(), 1u);
+    EXPECT_EQ(vg.Snapshot(), head);
+    EXPECT_EQ(vg.Snapshot()->LiveEdges(), live);
+  }
+}
+
+TEST(DynDeltaGraph, RejectionNamesTheFirstOffenderInBatchOrder) {
+  VersionedGraphOptions options;
+  options.auto_compact = false;
+  VersionedGraph vg(testing::Cycle(8), options);  // {0,1} ... {6,7}, {0,7}
+  // Two bad inserts, listed against their sorted order: the first listed
+  // is named.
+  auto inserts = vg.ApplyBatch(Batch({{0, 3}, {5, 6}, {0, 1}}, {}));
+  ASSERT_FALSE(inserts.ok());
+  EXPECT_NE(inserts.status().message().find("{5, 6}"), std::string::npos)
+      << inserts.status().message();
+  // A bad delete is named before any bad insert, and an out-of-range
+  // endpoint is named where it stands among the deletes.
+  auto deletes =
+      vg.ApplyBatch(Batch({{1, 2}}, {{1, 3}, {0, 99}, {2, 5}}));
+  ASSERT_FALSE(deletes.ok());
+  EXPECT_NE(deletes.status().message().find("delete of non-live edge {1, 3}"),
+            std::string::npos)
+      << deletes.status().message();
+  auto range = vg.ApplyBatch(Batch({{1, 2}}, {{0, 99}, {1, 3}}));
+  ASSERT_FALSE(range.ok());
+  EXPECT_NE(range.status().message().find("out of range in delete {0, 99}"),
+            std::string::npos)
+      << range.status().message();
+  EXPECT_EQ(vg.CurrentVersion(), 0u);
+  EXPECT_EQ(vg.Snapshot()->OverlaySize(), 0u);
+}
+
 TEST(DynDeltaGraph, OverlayAccessorsMatchMutatedGraph) {
   VersionedGraph vg(testing::Path(5));  // 0-1-2-3-4
   ASSERT_TRUE(vg.ApplyBatch(Batch({{0, 4}, {1, 3}}, {{1, 2}})).ok());
@@ -170,6 +226,51 @@ TEST(DynDeltaGraph, SnapshotIsolationAcrossMutationsAndCompaction) {
   EXPECT_EQ(after->version(), 2u);
   EXPECT_TRUE(after->HasEdge(1, 3));
   EXPECT_FALSE(after->HasEdge(0, 1));
+}
+
+/// Everything a reader can observe of one version.
+struct ViewImage {
+  uint64_t num_edges = 0;
+  std::vector<Edge> live;
+  std::vector<uint64_t> degrees;
+  std::vector<std::vector<NodeId>> neighbors;
+  std::vector<bool> has_edge;  // row-major over all ordered pairs
+
+  explicit ViewImage(const DeltaGraph& g) : num_edges(g.NumEdges()) {
+    live = g.LiveEdges();
+    const auto n = static_cast<NodeId>(g.NumNodes());
+    for (NodeId u = 0; u < n; ++u) {
+      degrees.push_back(g.Degree(u));
+      neighbors.emplace_back();
+      g.ForEachNeighbor(u, [&](NodeId v) { neighbors.back().push_back(v); });
+      for (NodeId v = 0; v < n; ++v) has_edge.push_back(g.HasEdge(u, v));
+    }
+  }
+  bool operator==(const ViewImage&) const = default;
+};
+
+TEST(DynDeltaGraph, PinnedSnapshotUnchangedByLaterBatchesAndCompaction) {
+  VersionedGraphOptions options;
+  options.auto_compact = false;
+  VersionedGraph vg(testing::Cycle(8), options);
+  ASSERT_TRUE(vg.ApplyBatch(Batch({{0, 4}, {2, 6}}, {{0, 1}, {3, 4}})).ok());
+  ASSERT_TRUE(vg.ApplyBatch(Batch({{1, 5}, {0, 1}}, {{2, 6}})).ok());
+  const auto pinned = vg.Snapshot();
+  const ViewImage image(*pinned);
+  // Overlay at the pin: {0, 4} and {1, 5} inserted, base {3, 4} deleted.
+  EXPECT_EQ(image.num_edges, 9u);
+  EXPECT_EQ(pinned->OverlaySize(), 3u);
+
+  // Later batches delete and re-insert around the pinned overlay, then a
+  // compaction installs a new base and one more batch lands on it.
+  ASSERT_TRUE(vg.ApplyBatch(Batch({{2, 6}, {3, 7}}, {{1, 5}, {5, 6}})).ok());
+  ASSERT_TRUE(vg.ApplyBatch(Batch({{3, 4}}, {{0, 4}})).ok());
+  ASSERT_TRUE(vg.Compact().ok());
+  ASSERT_TRUE(vg.ApplyBatch(Batch({{1, 5}}, {{2, 3}})).ok());
+  EXPECT_NE(vg.Snapshot()->base(), pinned->base());
+
+  EXPECT_EQ(pinned->version(), 2u);
+  EXPECT_TRUE(ViewImage(*pinned) == image);
 }
 
 TEST(DynDeltaGraph, UnDeleteAndDeleteOfInsertCancelOut) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "analytics/betweenness.h"
@@ -162,6 +163,81 @@ TEST_P(DynEquivalence, RandomizedSequenceMatchesFromScratch) {
       ExpectViewMatchesRebuild(*vg.Snapshot(), reference.Rebuild(), threads);
     }
   }
+}
+
+/// Every accessor of `snap` against its own materialization: edge count,
+/// live edge order, degrees, neighbor order, and membership of every pair.
+void ExpectAccessorsMatchMaterialized(const DeltaGraph& snap) {
+  auto materialized = snap.Materialize();
+  ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
+  const graph::Graph& g = *materialized;
+  ASSERT_EQ(snap.NumEdges(), g.NumEdges()) << "version " << snap.version();
+  EXPECT_TRUE(std::span<const Edge>(snap.LiveEdges()) == g.edges())
+      << "version " << snap.version();
+  std::vector<NodeId> nbrs;
+  for (NodeId u = 0; u < g.NumNodes(); ++u) {
+    EXPECT_EQ(snap.Degree(u), g.Degree(u)) << "vertex " << u;
+    nbrs.clear();
+    snap.ForEachNeighbor(u, [&](NodeId n) { nbrs.push_back(n); });
+    EXPECT_TRUE(std::ranges::equal(nbrs, g.Neighbors(u))) << "vertex " << u;
+    for (NodeId v = 0; v < g.NumNodes(); ++v) {
+      EXPECT_EQ(snap.HasEdge(u, v), g.FindEdge(u, v) != graph::kInvalidEdge)
+          << "pair " << u << ", " << v;
+    }
+  }
+}
+
+TEST_P(DynEquivalence, OverlayChurnUnderBackgroundCompaction) {
+  const int threads = GetParam();
+  // 200 vertices span four of the overlay's 64-vertex index stretches.
+  const graph::Graph seed = testing::Cycle(200);
+  ReferenceEdges reference(seed);
+  VersionedGraphOptions options;
+  options.compact_ratio = 0.1;  // compactions land every few batches
+  VersionedGraph vg(seed, options);
+  Rng rng(31 + static_cast<uint64_t>(threads));
+  std::set<const graph::Graph*> bases = {vg.Snapshot()->base().get()};
+  constexpr int kBatches = 24;
+  for (int b = 0; b < kBatches; ++b) {
+    const auto prev = vg.Snapshot();
+    // The first batch puts overlay entries on both sides of the stretch
+    // boundaries.
+    MutationBatch batch;
+    if (b == 0) {
+      batch.deletes = {{63, 64}, {127, 128}};
+      batch.inserts = {{0, 64}, {63, 128}, {127, 192}, {128, 199}};
+    } else {
+      batch = RandomBatch(*prev, &rng, /*deletes=*/3, /*inserts=*/4);
+    }
+    std::set<Edge> used(batch.deletes.begin(), batch.deletes.end());
+    used.insert(batch.inserts.begin(), batch.inserts.end());
+    // Delete an overlay insert and un-delete a base edge whenever the
+    // overlay has one to offer.
+    for (const Edge& e : prev->inserted()) {
+      if (used.insert(e).second) {
+        batch.deletes.push_back(e);
+        break;
+      }
+    }
+    for (const graph::EdgeId id : prev->deleted_ids()) {
+      const Edge e = prev->base()->edge(id);
+      if (used.insert(e).second) {
+        batch.inserts.push_back(e);
+        break;
+      }
+    }
+    reference.Apply(batch);
+    auto version = vg.ApplyBatch(batch);
+    ASSERT_TRUE(version.ok()) << version.status().ToString();
+    if (b == kBatches / 2) vg.WaitForCompaction();
+    const auto snap = vg.Snapshot();
+    bases.insert(snap->base().get());
+    ExpectAccessorsMatchMaterialized(*snap);
+    ExpectViewMatchesRebuild(*snap, reference.Rebuild(), threads);
+  }
+  vg.WaitForCompaction();
+  EXPECT_GT(bases.size(), 1u) << "no compaction landed mid-sequence";
+  ExpectAccessorsMatchMaterialized(*vg.Snapshot());
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, DynEquivalence,
