@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -331,6 +332,259 @@ TEST(DynShedSession, DecayAgesUntouchedEdgesOut) {
   EXPECT_EQ(plain_result->kept.size(), decay_result->kept.size());
   // The sliding window changes which edges survive.
   EXPECT_NE(plain_result->kept, decay_result->kept);
+}
+
+uint64_t KeptHash(const std::vector<Edge>& kept) {
+  uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a, 64-bit
+  for (const Edge& e : kept) {
+    for (const NodeId x : {e.u, e.v}) {
+      for (int shift = 0; shift < 32; shift += 8) {
+        hash = (hash ^ ((x >> shift) & 0xFFu)) * 0x100000001b3ull;
+      }
+    }
+  }
+  return hash;
+}
+
+/// What one Reshed of the pinned script returned.
+struct PinnedStep {
+  uint64_t kept_hash;
+  double total_delta;
+  double steps;
+  double swaps_accepted;
+  bool full_rank;
+};
+
+/// Runs a fixed script of batches and Reshed calls on a fixed BA graph and
+/// returns one PinnedStep per Reshed. Between some Reshed calls several
+/// batches land: an edge deleted and then re-inserted, an edge inserted and
+/// then deleted, and net-new edges over several passes, so extension-slot
+/// effs collide with existing ones and later batches delete edges that
+/// hold such colliding effs.
+std::vector<PinnedStep> RunPinnedScript(const DynamicShedOptions& options) {
+  Rng graph_rng(2024);
+  auto vg = std::make_shared<VersionedGraph>(
+      graph::BarabasiAlbert(600, 3, graph_rng));
+  ShedSession session(vg, options);
+  Rng rng(77);
+  std::vector<Edge> inserted;  // net-new edges, the extension-slot holders
+  std::vector<PinnedStep> steps;
+  std::vector<Edge> last_kept;
+  const auto reshed = [&] {
+    auto result = session.Reshed();
+    EDGESHED_CHECK(result.ok()) << result.status().ToString();
+    auto rebuilt = result->snapshot->Materialize();
+    EDGESHED_CHECK(rebuilt.ok());
+    core::DegreeDiscrepancy exact(*rebuilt, options.p);
+    for (const Edge& e : result->kept) exact.AddEdge(e.u, e.v);
+    EXPECT_NEAR(result->total_delta, exact.RecomputeTotalDelta(), 1e-9);
+    steps.push_back({KeptHash(result->kept), result->total_delta,
+                     Stat(result->stats, "steps"),
+                     Stat(result->stats, "swaps_accepted"),
+                     result->full_rank});
+    last_kept = result->kept;
+  };
+  const auto apply = [&](const MutationBatch& batch) {
+    const Status status = vg->ApplyBatch(batch).status();
+    EDGESHED_CHECK(status.ok()) << status.ToString();
+  };
+  const auto new_edge = [&](const MutationBatch& batch) {
+    const auto snap = vg->Snapshot();
+    while (true) {
+      const NodeId u = static_cast<NodeId>(rng.UniformIndex(600));
+      const NodeId v = static_cast<NodeId>(rng.UniformIndex(600));
+      const Edge e{std::min(u, v), std::max(u, v)};
+      if (u == v || snap->HasEdge(u, v) ||
+          std::find(batch.inserts.begin(), batch.inserts.end(), e) !=
+              batch.inserts.end()) {
+        continue;
+      }
+      return e;
+    }
+  };
+  // A live edge not yet in `batch`: a net-new one if `from_inserted` and
+  // one is drawn, else any.
+  const auto live_edge = [&](const MutationBatch& batch, bool from_inserted) {
+    const auto snap = vg->Snapshot();
+    const std::vector<Edge> live = snap->LiveEdges();
+    while (true) {
+      const std::vector<Edge>& pool =
+          from_inserted && !inserted.empty() ? inserted : live;
+      const Edge e = pool[rng.UniformIndex(pool.size())];
+      if (!snap->HasEdge(e.u, e.v) ||
+          std::find(batch.deletes.begin(), batch.deletes.end(), e) !=
+              batch.deletes.end()) {
+        from_inserted = false;
+        continue;
+      }
+      return e;
+    }
+  };
+  const auto churn = [&](int deletes, int inserts, bool from_inserted) {
+    MutationBatch batch;
+    for (int i = 0; i < deletes; ++i) {
+      batch.deletes.push_back(live_edge(batch, from_inserted));
+    }
+    for (int i = 0; i < inserts; ++i) {
+      batch.inserts.push_back(new_edge(batch));
+      inserted.push_back(batch.inserts.back());
+    }
+    apply(batch);
+  };
+
+  reshed();  // cold start
+  churn(3, 3, false);
+  reshed();
+
+  // A kept edge deleted and re-inserted, and a net-new edge inserted and
+  // deleted, all before the next Reshed.
+  const Edge kept_edge = last_kept[last_kept.size() / 2];
+  apply(Batch({}, {kept_edge}));
+  MutationBatch reinsert = Batch({kept_edge}, {});
+  const Edge transient = new_edge(reinsert);
+  reinsert.inserts.push_back(transient);
+  apply(reinsert);
+  apply(Batch({}, {transient}));
+  churn(1, 1, false);
+  reshed();
+
+  // Net-new edges over several passes, several batches per pass; later
+  // passes delete earlier net-new edges, whose effs collide.
+  for (int pass = 0; pass < 5; ++pass) {
+    for (int b = 0; b < 3; ++b) churn(2, 4, /*from_inserted=*/pass > 0);
+    reshed();
+  }
+  reshed();  // no batches: a no-op pass
+
+  // The same edge deleted, re-inserted and deleted again in one interval.
+  const Edge flicker = last_kept.front();
+  apply(Batch({}, {flicker}));
+  apply(Batch({flicker}, {}));
+  apply(Batch({}, {flicker}));
+  churn(2, 2, true);
+  reshed();
+  for (int pass = 0; pass < 3; ++pass) {
+    churn(3, 3, true);
+    reshed();
+  }
+  return steps;
+}
+
+TEST(DynShedSession, IncrementalOutputPinnedAcrossRevisions) {
+  // Kept sets, Δ bits, step counts and accepted swaps of the scripted run,
+  // recorded from the score-table implementation of the session. A change
+  // that reorders merge events, mis-classifies a rank slot or changes the
+  // order of Δ's floating-point updates shows up here.
+  struct Config {
+    const char* name;
+    DynamicShedOptions options;
+    std::vector<PinnedStep> want;
+  };
+  DynamicShedOptions plain;
+  plain.p = 0.35;  // Δ terms are not dyadic, so update order shows in Δ
+  DynamicShedOptions hops = plain;
+  hops.p = 0.5;
+  hops.dirty_hops = 1;
+  hops.full_rank_dirty_bound = 0.6;
+  DynamicShedOptions dense = plain;
+  dense.p = 0.9;  // the cut sits among the extension slots near the bottom
+  DynamicShedOptions decay = plain;
+  decay.dirty_hops = 1;
+  decay.full_rank_dirty_bound = 0.6;
+  decay.decay_half_life = 0.5;
+  const std::vector<Config> configs = {
+      {"plain",
+       plain,
+       {
+           {0x712781c73e63d358ull, 0x1.58fffffffff16p+7, 6279, 596, true},
+           {0x7ac0fb3dda96ed6dull, 0x1.5e6666666657cp+7, 120, 1, false},
+           {0x1ee4b6643b45c4f2ull, 0x1.613333333324ap+7, 120, 4, false},
+           {0x791488d7d8cf301full, 0x1.7fccccccccbdfp+7, 360, 12, false},
+           {0x1aa4079ee28077d3ull, 0x1.81999999998abp+7, 360, 16, false},
+           {0xc37b2b8b6dfbb223ull, 0x1.7a999999998a9p+7, 360, 16, false},
+           {0x382ca111042ec0a3ull, 0x1.7f3333333324p+7, 360, 12, false},
+           {0xa45a6b5ca7b89c62ull, 0x1.873333333323fp+7, 360, 15, false},
+           {0xa45a6b5ca7b89c62ull, 0x1.873333333323fp+7, -1, -1, false},
+           {0x27f4c791defa7827ull, 0x1.82ccccccccbd8p+7, 140, 4, false},
+           {0x1bca87202c3f4150ull, 0x1.88999999998a6p+7, 120, 4, false},
+           {0x1bca87202c3f4150ull, 0x1.8b66666666571p+7, 120, 0, false},
+           {0x179bdbadee329c16ull, 0x1.8dccccccccbd5p+7, 120, 3, false},
+       }},
+      {"hops",
+       hops,
+       {
+           {0xa02542339fc9b270ull, 0x1.a4p+7, 8970, 452, true},
+           {0x6e027cce7ae1d76cull, 0x1.07p+8, 120, 3, false},
+           {0x6306d8c6fbe21013ull, 0x1.39p+8, 120, 9, false},
+           {0x66e5909f6c6160eaull, 0x1.ap+8, 360, 89, false},
+           {0x6d72ed2691b59182ull, 0x1.9cp+8, 360, 75, false},
+           {0x37b66709036fe8ebull, 0x1.92p+8, 360, 64, false},
+           {0xf608720bfdbf14d2ull, 0x1.b9p+8, 360, 94, false},
+           {0x17583f116d806ab5ull, 0x1.a8p+8, 360, 88, false},
+           {0x17583f116d806ab5ull, 0x1.a8p+8, -1, -1, false},
+           {0xbe25c76673922cd3ull, 0x1.9fp+8, 140, 27, false},
+           {0x939c645b21377bafull, 0x1.a1p+8, 120, 21, false},
+           {0x5f7b618eade4c029ull, 0x1.aap+8, 120, 22, false},
+           {0x48b21da072846846ull, 0x1.a5p+8, 120, 32, false},
+       }},
+      {"dense",
+       dense,
+       {
+           {0xf8546ace9b02056aull, 0x1.c733333332cf9p+7, 16146, 307, true},
+           {0xf479f1fc395e2dbfull, 0x1.d199999999361p+7, 120, 4, false},
+           {0xf0d8010be0a3ef7dull, 0x1.d66666666602fp+7, 120, 2, false},
+           {0x0e552d38118d1a7dull, 0x1.e866666666028p+7, 360, 19, false},
+           {0x9124c50fd03fc25full, 0x1.e0cccccccc68cp+7, 360, 28, false},
+           {0x2a302272a34b1fe8ull, 0x1.db99999999359p+7, 360, 8, false},
+           {0x91a176b3a74cecc9ull, 0x1.d933333332cf4p+7, 360, 10, false},
+           {0x5805243ad201910full, 0x1.e533333332cf1p+7, 360, 21, false},
+           {0x5805243ad201910full, 0x1.e533333332cf1p+7, -1, -1, false},
+           {0xadc651e0fcb2d3ebull, 0x1.e466666666025p+7, 140, 2, false},
+           {0xbecd0aff09deace8ull, 0x1.e6cccccccc689p+7, 120, 8, false},
+           {0x9f5e725f56658db3ull, 0x1.e666666666022p+7, 120, 5, false},
+           {0xd334e0d0881228aeull, 0x1.e1ffffffff9bdp+7, 120, 6, false},
+       }},
+      {"decay",
+       decay,
+       {
+           {0x712781c73e63d358ull, 0x1.58fffffffff16p+7, 6279, 596, true},
+           {0x1b44a541ee4bb9adull, 0x1.3399999999925p+8, 120, 19, false},
+           {0x7c9c631377a81dbcull, 0x1.cbfffffffff8p+8, 120, 50, false},
+           {0xd1aac73c35105534ull, 0x1.1e733333332edp+9, 360, 236, false},
+           {0x0edd2a4964968a25ull, 0x1.098cccccccc8bp+9, 360, 230, false},
+           {0xb263ccdf1c78ca27ull, 0x1.00e6666666624p+9, 360, 197, false},
+           {0xeaad1fff490cbcbdull, 0x1.09e6666666628p+9, 360, 219, false},
+           {0xb59302bcbfccde2bull, 0x1.0926666666628p+9, 360, 216, false},
+           {0xb59302bcbfccde2bull, 0x1.0926666666628p+9, -1, -1, false},
+           {0x6004a1cdef942239ull, 0x1.2199999999959p+9, 140, 70, false},
+           {0xdfe8e26e4f6f0b9aull, 0x1.2d4cccccccc91p+9, 120, 65, false},
+           {0x26c0f2732ba3e207ull, 0x1.42333333332fcp+9, 120, 69, false},
+           {0x81fdf56178cc578dull, 0x1.3e8cccccccc99p+9, 120, 73, false},
+       }},
+  };
+  for (const Config& config : configs) {
+    SCOPED_TRACE(config.name);
+    const std::vector<PinnedStep> got = RunPinnedScript(config.options);
+    std::string table;
+    for (const PinnedStep& s : got) {
+      char line[160];
+      std::snprintf(line, sizeof(line), "{0x%016llxull, %a, %.0f, %.0f, %s},\n",
+                    static_cast<unsigned long long>(s.kept_hash),
+                    s.total_delta, s.steps, s.swaps_accepted,
+                    s.full_rank ? "true" : "false");
+      table += line;
+    }
+    EXPECT_EQ(got.size(), config.want.size()) << table;
+    if (got.size() != config.want.size()) continue;
+    for (size_t i = 0; i < got.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << "reshed " << i);
+      EXPECT_EQ(got[i].kept_hash, config.want[i].kept_hash) << table;
+      EXPECT_EQ(got[i].total_delta, config.want[i].total_delta);
+      EXPECT_EQ(got[i].steps, config.want[i].steps);
+      EXPECT_EQ(got[i].swaps_accepted, config.want[i].swaps_accepted);
+      EXPECT_EQ(got[i].full_rank, config.want[i].full_rank);
+    }
+  }
 }
 
 }  // namespace
