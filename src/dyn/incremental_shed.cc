@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <unordered_set>
 
 #include "common/check.h"
 #include "common/radix_sort.h"
@@ -27,16 +28,13 @@ StatusOr<uint64_t> ShedSession::RefineKeptSet(uint64_t target,
   Rng rng(rng_seed);
   return core::RunSwapChain(
       &order_, target, steps, &rng, /*accept_zero_delta=*/false, &*disc_,
-      /*cancel=*/nullptr, [this](RankedEdge& kept, RankedEdge& excluded) {
+      /*cancel=*/nullptr, [](RankedEdge& kept, RankedEdge& excluded) {
         // The two edges trade rank slots along with kept membership: each
-        // slot keeps its eff (and the occupants swap scores), so "kept
-        // set == top-round(p·E) by score" survives into the next
-        // incremental pass. Without this that pass, which rebuilds its kept
-        // baseline from the rank order, would silently undo every
-        // refinement swap and regress total delta to the unrefined rank cut.
-        kept_keys_.erase(kept.key);
-        kept_keys_.insert(excluded.key);
-        std::swap(score_[kept.key], score_[excluded.key]);
+        // slot keeps its eff (and base score), so "kept set == order_
+        // prefix" survives into the next incremental pass. Without this
+        // that pass, which reads kept membership off the rank order, would
+        // silently undo every refinement swap and regress total delta to
+        // the unrefined rank cut.
         std::swap(kept.key, excluded.key);
       });
 }
@@ -44,9 +42,7 @@ StatusOr<uint64_t> ShedSession::RefineKeptSet(uint64_t target,
 DynamicShedResult ShedSession::BuildResult(uint64_t version) const {
   DynamicShedResult result;
   result.version = version;
-  // The kept set is exactly the order_ prefix (kept_keys_ mirrors it for
-  // O(1) membership); reading it off the vector beats walking the hash set.
-  EDGESHED_DCHECK(kept_keys_.size() == order_target_);
+  // The kept set is exactly the order_ prefix.
   uint64_t all_bits = 0;
   for (uint64_t i = 0; i < order_target_; ++i) all_bits |= order_[i].key;
   result.kept.reserve(order_target_);
@@ -114,9 +110,8 @@ StatusOr<DynamicShedResult> ShedSession::FullShed(
                             core::Crr().Run(*g, shed_options));
 
   // Adopt the run's slot order as the rank order: slot i scores |E| - i,
-  // whichever edge Phase 2 left in it. The slots are released before the
-  // hash tables grow so the cold start peaks no higher than one |E|-sized
-  // slot array plus the tables.
+  // whichever edge Phase 2 left in it, and the first run.target slots are
+  // the kept set.
   const uint64_t num_edges = run.slots.size();
   order_.clear();
   order_.reserve(num_edges);
@@ -125,12 +120,9 @@ StatusOr<DynamicShedResult> ShedSession::FullShed(
                                 graph::EdgeKey(run.slots[i].edge)});
   }
   std::vector<core::CrrSlot>().swap(run.slots);
-  score_.clear();
-  kept_keys_.clear();
-  score_.reserve(num_edges);
-  for (uint64_t i = 0; i < num_edges; ++i) {
-    score_[order_[i].key] = order_[i].eff;
-    if (i < run.target) kept_keys_.insert(order_[i].key);
+  base_score_.clear();
+  if (options_.decay_half_life > 0.0) {
+    for (const RankedEdge& e : order_) base_score_.push_back(e.eff);
   }
   disc_.emplace(std::move(run.discrepancy));
   order_target_ = run.target;
@@ -152,44 +144,15 @@ StatusOr<DynamicShedResult> ShedSession::FullShed(
 StatusOr<DynamicShedResult> ShedSession::IncrementalShed(
     const std::shared_ptr<const DeltaGraph>& snap,
     const std::vector<graph::MutationBatch>& batches,
-    const std::vector<graph::NodeId>& dirty) {
+    const std::vector<graph::NodeId>& dirty,
+    const std::vector<uint64_t>& dirty_bits) {
   Stopwatch watch;
   const uint64_t version = snap->version();
   Stopwatch stage_watch;
 
-  // Per-batch state maintenance: drop deleted edges from the score table
-  // and the kept set, and collect the endpoints whose base degree changed.
-  // `deleted` records each retired rank slot as (eff, key) — the merge pass
-  // below locates retired slots in the maintained order by those effs.
   uint64_t mutation_count = 0;
   for (const graph::MutationBatch& batch : batches) {
     mutation_count += batch.size();
-  }
-  std::unordered_set<graph::NodeId> touched;
-  touched.reserve(2 * mutation_count);
-  std::vector<RankedEdge> deleted;
-  deleted.reserve(mutation_count);
-  for (const graph::MutationBatch& batch : batches) {
-    for (const graph::Edge& e : batch.deletes) {
-      touched.insert(e.u);
-      touched.insert(e.v);
-      const uint64_t key = graph::EdgeKey(e);
-      const auto score_it = score_.find(key);
-      if (score_it != score_.end()) {
-        deleted.push_back(RankedEdge{score_it->second, key});
-        score_.erase(score_it);
-      }
-      if (kept_keys_.erase(key) != 0) disc_->RemoveEdge(e.u, e.v);
-    }
-    for (const graph::Edge& e : batch.inserts) {
-      touched.insert(e.u);
-      touched.insert(e.v);
-    }
-  }
-  // O(touched) discrepancy maintenance: only mutated endpoints change
-  // their base degree, hence their expected-degree term.
-  for (const graph::NodeId u : touched) {
-    disc_->UpdateBaseDegree(u, snap->Degree(u));
   }
 
   // Dirty-region rank recompute: betweenness on the subgraph induced by
@@ -203,8 +166,13 @@ StatusOr<DynamicShedResult> ShedSession::IncrementalShed(
     local_of[dirty[i]] = static_cast<graph::NodeId>(i);
   }
   std::vector<graph::Edge> local_edges;
-  std::vector<uint64_t> local_keys;  // aligned with local EdgeIds
+  std::vector<uint64_t> local_keys;  // aligned with local EdgeIds, ascending
+  // local_keys[local_begin[i], local_begin[i + 1]) are dirty[i]'s edges to
+  // higher dirty neighbors.
+  std::vector<size_t> local_begin;
+  local_begin.reserve(dirty.size() + 1);
   for (const graph::NodeId u : dirty) {
+    local_begin.push_back(local_keys.size());
     const graph::NodeId lu = local_of[u];
     snap->ForEachNeighbor(u, [&](graph::NodeId n) {
       if (n <= u) return;
@@ -214,16 +182,100 @@ StatusOr<DynamicShedResult> ShedSession::IncrementalShed(
       local_keys.push_back(graph::EdgeKey(u, n));
     });
   }
+  local_begin.push_back(local_keys.size());
   const uint64_t dirty_edges = local_edges.size();
+  EDGESHED_DCHECK(std::is_sorted(local_keys.begin(), local_keys.end()));
+  // The local EdgeId of a key with both endpoints dirty, or kNotRegion when
+  // that edge is not live.
+  constexpr size_t kNotRegion = ~size_t{0};
+  const auto region_id = [&](uint64_t key) {
+    const graph::NodeId lu = local_of[key >> 32];
+    const auto begin = local_keys.begin() + local_begin[lu];
+    const auto end = local_keys.begin() + local_begin[lu + 1];
+    const auto it = std::lower_bound(begin, end, key);
+    return it != end && *it == key
+               ? static_cast<size_t>(it - local_keys.begin())
+               : kNotRegion;
+  };
+  // A region edge deleted since state_version_ is back only as a net-new
+  // edge: its old rank slot retires.
+  std::vector<uint8_t> reinserted(local_keys.size(), 0);
+  for (const graph::MutationBatch& batch : batches) {
+    for (const graph::Edge& e : batch.deletes) {
+      const size_t l = region_id(graph::EdgeKey(e));
+      if (l != kNotRegion) reinserted[l] = 1;
+    }
+  }
+
+  // Classification: one pass over order_. An entry with an endpoint outside
+  // the dirty set is untouched. An entry with both endpoints dirty was
+  // either deleted since state_version_ (it becomes a remove event) or is a
+  // live edge of the region (its slot joins the donor pool, which it
+  // reaches in rank order). Kept membership is the position against the
+  // old cut, recorded per retiring key and per local EdgeId.
+  const auto is_dirty = [&](graph::NodeId u) {
+    return ((dirty_bits[u >> 6] >> (u & 63)) & 1) != 0;
+  };
+  struct MergeEvent {
+    size_t pos;
+    enum Kind : uint8_t { kRemove, kReplace } kind;
+    uint32_t fresh_index;
+  };
+  std::vector<MergeEvent> events;
+  std::vector<double> slots;  // donor scores, the region's slot pool
+  std::vector<uint8_t> region_kept(local_keys.size(), 0);
+  std::vector<uint64_t> kept_removed;  // kept slots that retire, by key
+  for (size_t p = 0; p < order_.size(); ++p) {
+    const RankedEdge& entry = order_[p];
+    if (!(is_dirty(entry.u()) & is_dirty(entry.v()))) continue;
+    const bool kept = p < order_target_;
+    const size_t l = region_id(entry.key);
+    if (l == kNotRegion || reinserted[l] != 0) {
+      if (kept) kept_removed.push_back(entry.key);
+      events.push_back({p, MergeEvent::kRemove, 0});
+      continue;
+    }
+    region_kept[l] = kept;
+    events.push_back({p, MergeEvent::kReplace,
+                      static_cast<uint32_t>(slots.size())});
+    slots.push_back(base_score_.empty() ? entry.eff : base_score_[p]);
+  }
+  const size_t found_count = slots.size();
+
+  // A kept edge leaves the reduced graph at its first deletion, in batch
+  // order; then only mutated endpoints change their base degree, hence
+  // their expected-degree term.
+  std::sort(kept_removed.begin(), kept_removed.end());
+  std::vector<uint8_t> still_kept(kept_removed.size(), 1);
+  std::unordered_set<graph::NodeId> touched;
+  touched.reserve(2 * mutation_count);
+  for (const graph::MutationBatch& batch : batches) {
+    for (const graph::Edge& e : batch.deletes) {
+      touched.insert(e.u);
+      touched.insert(e.v);
+      const uint64_t key = graph::EdgeKey(e);
+      const auto it =
+          std::lower_bound(kept_removed.begin(), kept_removed.end(), key);
+      if (it == kept_removed.end() || *it != key) continue;
+      uint8_t& pending = still_kept[it - kept_removed.begin()];
+      if (pending != 0) disc_->RemoveEdge(e.u, e.v);
+      pending = 0;
+    }
+    for (const graph::Edge& e : batch.inserts) {
+      touched.insert(e.u);
+      touched.insert(e.v);
+    }
+  }
+  for (const graph::NodeId u : touched) {
+    disc_->UpdateBaseDegree(u, snap->Degree(u));
+  }
   const double region_seconds = stage_watch.ElapsedSeconds();
   double local_rank_seconds = 0.0;
-  // The re-scored region in rank order (eff desc, key asc). Filled by the
-  // splice below: slot values are globally distinct and handed out in
-  // strictly descending order, so no sort is needed. fresh[0..found_count)
-  // reuse slots that exist in the maintained order; the rest are net-new
-  // extension slots below the region's floor.
+  // The re-scored region in rank order (eff desc, key asc), with each
+  // entry's old kept membership. fresh[0..found_count) reuse the donor
+  // slots; the rest are net-new extension slots below the region's floor.
   std::vector<RankedEdge> fresh;
-  size_t found_count = 0;
+  std::vector<uint8_t> fresh_kept;
   if (!local_edges.empty()) {
     // dirty is sorted and ForEachNeighbor ascends, so local_edges is
     // already canonical sorted order: FromEdges assigns EdgeId i to
@@ -255,26 +307,22 @@ StatusOr<DynamicShedResult> ShedSession::IncrementalShed(
     const std::vector<graph::EdgeId> ranked_local =
         analytics::EdgesByBetweennessDescending(*local, betweenness);
     local_rank_seconds = local_watch.ElapsedSeconds();
-    // Splice: the region's previous global rank positions become a slot
-    // pool (extended below its floor for net-new edges), and the fresh
-    // local order redistributes the slots. The rest of the ranking is
-    // untouched, so one local pass costs O(dirty region), not O(E).
-    std::vector<double> slots;
-    slots.reserve(local_keys.size());
-    for (const uint64_t key : local_keys) {
-      const auto it = score_.find(key);
-      if (it != score_.end()) slots.push_back(it->second);
+    // Splice: the region's previous global rank slots become a slot pool
+    // (extended below its floor for net-new edges), and the fresh local
+    // order redistributes the slots. The rest of the ranking is untouched,
+    // so one local pass costs O(dirty region), not O(E). Donor effs arrive
+    // in descending order; base scores under decay do not.
+    if (!base_score_.empty()) {
+      std::sort(slots.begin(), slots.end(), std::greater<double>());
     }
-    std::sort(slots.begin(), slots.end(), std::greater<double>());
-    found_count = slots.size();
     while (slots.size() < local_keys.size()) {
       slots.push_back((slots.empty() ? 0.0 : slots.back()) - 1.0);
     }
     fresh.reserve(ranked_local.size());
+    fresh_kept.reserve(ranked_local.size());
     for (size_t i = 0; i < ranked_local.size(); ++i) {
-      const uint64_t key = local_keys[ranked_local[i]];
-      score_[key] = slots[i];
-      fresh.push_back(RankedEdge{slots[i], key});
+      fresh.push_back(RankedEdge{slots[i], local_keys[ranked_local[i]]});
+      fresh_kept.push_back(region_kept[ranked_local[i]]);
     }
   }
 
@@ -309,85 +357,38 @@ StatusOr<DynamicShedResult> ShedSession::IncrementalShed(
     const bool now_kept = out < target;
     if (now_kept != was_kept) {
       if (now_kept) {
-        kept_keys_.insert(e.key);
         disc_->AddEdge(e.u(), e.v());
       } else {
-        kept_keys_.erase(e.key);
         disc_->RemoveEdge(e.u(), e.v());
       }
     }
     EDGESHED_CHECK(out < next.size());
     next[out++] = e;
   };
-  if (decay_factor == 1.0) {
+  if (base_score_.empty()) {
     // Without decay the merged order differs from order_ only at event
     // positions: deleted slots vanish, the dirty region's reused slots keep
     // their positions and swap occupants, and extension slots splice in
-    // near the bottom. One pass locates every event; a second pass memcpys
-    // the untouched runs between events and patches kept membership only
-    // where a run's constant shift moves entries across the cut. That
-    // drops the per-entry emit work — the dominant cost of re-streaming
-    // all |E| slots — for the untouched bulk.
+    // near the bottom. Above the first slot an extension could precede,
+    // the pass memcpys the untouched runs between events and patches kept
+    // membership only where a run's constant shift moves entries across
+    // the cut. That drops the per-entry emit work — the dominant cost of
+    // re-streaming all |E| slots — for the untouched bulk.
     //
     // Eff values are NOT globally unique — an extension slot mints
-    // floor-1, floor-2, ... over the dense initial score range, so a later
-    // re-shed can see the same eff on unrelated edges. Matching is
-    // therefore key-aware: a retired slot must match (eff, key), scanning
-    // its equal-eff window, and a donor slot is confirmed by region-key
-    // membership before it consumes the aligned fresh entry. Donor entries
-    // appear in order_ in descending-eff order and their eff multiset is
-    // exactly slots[0..found_count), so the fd pointer stays aligned.
-    struct MergeEvent {
-      size_t pos;
-      enum Kind : uint8_t { kRemove, kReplace, kInsert } kind;
-      uint32_t fresh_index;
-    };
-    std::sort(deleted.begin(), deleted.end(), ranks_before);
-    std::unordered_set<uint64_t> region_keys(local_keys.begin(),
-                                             local_keys.end());
-    std::vector<MergeEvent> events;
-    events.reserve(deleted.size() + fresh.size());
-    size_t di = 0;
-    size_t fd = 0;            // donor fresh pointer, fresh[0..found_count)
-    size_t fe = found_count;  // extension fresh pointer
-    for (size_t p = 0; p < order_.size(); ++p) {
-      if (di == deleted.size() && fd == found_count && fe == fresh.size()) {
-        break;  // no events left; the rest of the order is one final run
-      }
-      const RankedEdge& entry = order_[p];
-      if (di < deleted.size() && deleted[di].eff == entry.eff) {
-        size_t dj = di;
-        while (dj < deleted.size() && deleted[dj].eff == entry.eff &&
-               deleted[dj].key != entry.key) {
-          ++dj;
-        }
-        if (dj < deleted.size() && deleted[dj].eff == entry.eff) {
-          std::swap(deleted[di], deleted[dj]);
-          events.push_back({p, MergeEvent::kRemove, 0});
-          ++di;
-          continue;
-        }
-      }
-      if (fd < found_count && fresh[fd].eff == entry.eff &&
-          region_keys.count(entry.key) != 0) {
-        events.push_back({p, MergeEvent::kReplace, static_cast<uint32_t>(fd)});
-        ++fd;
-        continue;
-      }
-      // Extension inserts compare against survivors only, after the stale
-      // checks: every extension eff is strictly below every donor eff, so
-      // nothing here can outrank a replacement at this position.
-      while (fe < fresh.size() && ranks_before(fresh[fe], entry)) {
-        events.push_back({p, MergeEvent::kInsert, static_cast<uint32_t>(fe)});
-        ++fe;
-      }
-    }
-    EDGESHED_DCHECK(di == deleted.size());
-    EDGESHED_DCHECK(fd == found_count);
-    for (; fe < fresh.size(); ++fe) {
-      events.push_back(
-          {order_.size(), MergeEvent::kInsert, static_cast<uint32_t>(fe)});
-    }
+    // floor-1, floor-2, ... over the dense initial score range — and order_
+    // is sorted by eff only, so from that slot on the survivors are
+    // streamed one by one, each extension placed before the first survivor
+    // it ranks before.
+    size_t fe = found_count;
+    const size_t tail =
+        fe == fresh.size()
+            ? order_.size()
+            : std::partition_point(order_.begin(), order_.end(),
+                                   [&](const RankedEdge& e) {
+                                     return e.eff > fresh[fe].eff;
+                                   }) -
+                  order_.begin();
     size_t src = 0;
     const auto copy_run = [&](size_t end_pos) {
       if (end_pos == src) return;
@@ -405,10 +406,8 @@ StatusOr<DynamicShedResult> ShedSession::IncrementalShed(
         for (std::ptrdiff_t p = lo; p < hi; ++p) {
           const RankedEdge& e = order_[p];
           if (new_cut > old_cut) {
-            kept_keys_.insert(e.key);
             disc_->AddEdge(e.u(), e.v());
           } else {
-            kept_keys_.erase(e.key);
             disc_->RemoveEdge(e.u(), e.v());
           }
         }
@@ -418,58 +417,56 @@ StatusOr<DynamicShedResult> ShedSession::IncrementalShed(
       out += end_pos - src;
       src = end_pos;
     };
-    for (const MergeEvent& ev : events) {
-      copy_run(ev.pos);
-      switch (ev.kind) {
-        case MergeEvent::kRemove:
-          ++src;
-          break;
-        case MergeEvent::kReplace:
-          place(fresh[ev.fresh_index],
-                kept_keys_.count(fresh[ev.fresh_index].key) != 0);
-          ++src;
-          break;
-        case MergeEvent::kInsert:
-          place(fresh[ev.fresh_index],
-                kept_keys_.count(fresh[ev.fresh_index].key) != 0);
-          break;
+    const auto replace = [&](const MergeEvent& ev) {
+      if (ev.kind == MergeEvent::kReplace) {
+        place(fresh[ev.fresh_index], fresh_kept[ev.fresh_index] != 0);
       }
+    };
+    size_t ev = 0;
+    for (; ev < events.size() && events[ev].pos < tail; ++ev) {
+      copy_run(events[ev].pos);
+      replace(events[ev]);
+      ++src;
     }
-    copy_run(order_.size());
+    copy_run(tail);
+    for (size_t p = tail; p < order_.size(); ++p) {
+      if (ev < events.size() && events[ev].pos == p) {
+        replace(events[ev++]);
+        continue;
+      }
+      while (fe < fresh.size() && ranks_before(fresh[fe], order_[p])) {
+        place(fresh[fe], fresh_kept[fe] != 0);
+        ++fe;
+      }
+      place(order_[p], p < order_target_);
+    }
+    for (; fe < fresh.size(); ++fe) place(fresh[fe], fresh_kept[fe] != 0);
   } else {
-    // Decay rescales every untouched eff, so the whole order has to be
-    // re-streamed against the fresh region. `stale` marks every key whose
-    // old rank slot is invalid; a stale key has both endpoints dirty, so a
-    // bit mask over the dirty vertices — |V|/8 bytes, small enough to sit
-    // in L1 — screens out the per-entry hash probe for the untouched bulk.
-    std::unordered_set<uint64_t> stale;
-    stale.reserve(deleted.size() + local_keys.size());
-    for (const RankedEdge& d : deleted) stale.insert(d.key);
-    for (const uint64_t key : local_keys) stale.insert(key);
-    std::vector<uint64_t> dirty_bits((snap->NumNodes() + 63) / 64, 0);
-    for (const graph::NodeId u : dirty) {
-      dirty_bits[u >> 6] |= uint64_t{1} << (u & 63);
-    }
-    const auto is_dirty = [&](graph::NodeId u) {
-      return ((dirty_bits[u >> 6] >> (u & 63)) & 1) != 0;
+    // Decay rescales every untouched eff, so the whole order is re-streamed
+    // against the fresh region, dropping the entries classified above.
+    // Untouched entries keep their base scores; a re-scored entry's base is
+    // the slot value it was handed.
+    std::vector<double>& next_base = base_scratch_;
+    next_base.resize(live);
+    const auto emit = [&](const RankedEdge& e, bool was_kept, double base) {
+      place(e, was_kept);
+      next_base[out - 1] = base;
     };
     size_t fi = 0;
     for (size_t oi = 0; oi < order_.size(); ++oi) {
       RankedEdge entry = order_[oi];
-      if (is_dirty(entry.u()) && is_dirty(entry.v()) &&
-          stale.count(entry.key) != 0) {
-        continue;
-      }
+      if (is_dirty(entry.u()) && is_dirty(entry.v())) continue;
       entry.eff *= decay_factor;
       while (fi < fresh.size() && ranks_before(fresh[fi], entry)) {
-        place(fresh[fi], kept_keys_.count(fresh[fi].key) != 0);
+        emit(fresh[fi], fresh_kept[fi] != 0, fresh[fi].eff);
         ++fi;
       }
-      place(entry, oi < order_target_);
+      emit(entry, oi < order_target_, base_score_[oi]);
     }
     for (; fi < fresh.size(); ++fi) {
-      place(fresh[fi], kept_keys_.count(fresh[fi].key) != 0);
+      emit(fresh[fi], fresh_kept[fi] != 0, fresh[fi].eff);
     }
+    base_score_.swap(next_base);
   }
   EDGESHED_CHECK(out == live)
       << "merged rank order has " << out << " edges, snapshot has " << live;
@@ -529,36 +526,36 @@ StatusOr<DynamicShedResult> ShedSession::Reshed(
     return result;
   }
 
-  std::unordered_set<graph::NodeId> dirty_set;
-  size_t mutation_total = 0;
-  for (const graph::MutationBatch& batch : *batches) {
-    mutation_total += batch.size();
-  }
-  dirty_set.reserve(2 * mutation_total);
+  // The dirty set as a bit mask over the vertices — |V|/8 bytes — plus the
+  // list of its members; the hops grow it breadth-first.
+  const uint64_t num_nodes = snap->NumNodes();
+  std::vector<uint64_t> dirty_bits((num_nodes + 63) / 64, 0);
+  std::vector<graph::NodeId> dirty;
+  const auto mark = [&](graph::NodeId u) {
+    uint64_t& word = dirty_bits[u >> 6];
+    const uint64_t bit = uint64_t{1} << (u & 63);
+    if ((word & bit) != 0) return;
+    word |= bit;
+    dirty.push_back(u);
+  };
   for (const graph::MutationBatch& batch : *batches) {
     for (const auto* side : {&batch.inserts, &batch.deletes}) {
       for (const graph::Edge& e : *side) {
-        dirty_set.insert(e.u);
-        dirty_set.insert(e.v);
+        mark(e.u);
+        mark(e.v);
       }
     }
   }
-  if (options_.dirty_hops > 0) {
-    std::vector<graph::NodeId> frontier(dirty_set.begin(), dirty_set.end());
-    for (uint32_t hop = 0; hop < options_.dirty_hops && !frontier.empty();
-         ++hop) {
-      std::vector<graph::NodeId> next;
-      for (const graph::NodeId u : frontier) {
-        snap->ForEachNeighbor(u, [&](graph::NodeId n) {
-          if (dirty_set.insert(n).second) next.push_back(n);
-        });
-      }
-      frontier = std::move(next);
+  size_t frontier = 0;
+  for (uint32_t hop = 0; hop < options_.dirty_hops && frontier < dirty.size();
+       ++hop) {
+    const size_t frontier_end = dirty.size();
+    for (; frontier < frontier_end; ++frontier) {
+      snap->ForEachNeighbor(dirty[frontier], mark);
     }
   }
-  const uint64_t num_nodes = snap->NumNodes();
   const double dirty_fraction =
-      static_cast<double>(dirty_set.size()) /
+      static_cast<double>(dirty.size()) /
       static_cast<double>(num_nodes == 0 ? 1 : num_nodes);
   if (dirty_fraction > options_.full_rank_dirty_bound) {
     return FullShed(snap, cancel);
@@ -567,9 +564,8 @@ StatusOr<DynamicShedResult> ShedSession::Reshed(
   // The incremental pass changes session state from its first stage on and
   // is O(batch)-bounded, so it is polled here only.
   if (CancellationRequested(cancel)) return cancel->ToStatus();
-  std::vector<graph::NodeId> dirty(dirty_set.begin(), dirty_set.end());
   std::sort(dirty.begin(), dirty.end());
-  return IncrementalShed(snap, *batches, dirty);
+  return IncrementalShed(snap, *batches, dirty, dirty_bits);
 }
 
 }  // namespace edgeshed::dyn

@@ -6,8 +6,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -82,19 +80,23 @@ struct DynamicShedResult {
 /// construction, so a session answers exactly what a from-scratch job
 /// would.
 ///
-/// Subsequent Reshed() calls are incremental: the session pulls the batches
-/// applied since its last version, updates the degree-discrepancy terms in
-/// O(touched vertices), recomputes edge ranks only inside the dirty region
-/// (touched endpoints plus `dirty_hops` BFS levels on the overlay view) by
-/// running betweenness on the induced dirty subgraph and splicing the fresh
-/// local order into the retained global rank positions, merges the
-/// re-scored region back into the maintained global rank order with an
-/// event-driven pass (untouched runs between deleted/reassigned slots are
-/// block-copied and their kept membership patched only at the cut — no
-/// comparison sort, no global betweenness), and runs an O(batch)-bounded
-/// swap refinement through core::RunSwapChain. When the dirty region
-/// exceeds `full_rank_dirty_bound` — or history was trimmed past the
-/// session — it falls back to a full pass.
+/// The session's rank state is the global rank order (plus, with decay,
+/// each slot's undecayed score): an edge is kept exactly when its position
+/// is below the cut, so no per-edge lookup table exists. Subsequent
+/// Reshed() calls are incremental: the session pulls the batches applied
+/// since its last version, classifies every rank slot in one pass (an entry
+/// with both endpoints in the dirty region — touched endpoints plus
+/// `dirty_hops` BFS levels on the overlay view — is either deleted or a
+/// live region edge; the rest are untouched), updates the
+/// degree-discrepancy terms in O(touched vertices), runs betweenness on the
+/// induced dirty subgraph and splices the fresh local order into the
+/// region's retained rank slots, merges the re-scored region back into the
+/// rank order with an event-driven pass (untouched runs between deleted or
+/// reassigned slots are block-copied and their kept membership patched
+/// only at the cut — no comparison sort, no global betweenness), and runs
+/// an O(batch)-bounded swap refinement through core::RunSwapChain. When
+/// the dirty region exceeds `full_rank_dirty_bound` — or history was
+/// trimmed past the session — it falls back to a full pass.
 ///
 /// Sessions are deterministic: the same initial graph, batch sequence, and
 /// options yield the same kept set on every run and thread count. Not
@@ -140,7 +142,8 @@ class ShedSession {
   StatusOr<DynamicShedResult> IncrementalShed(
       const std::shared_ptr<const DeltaGraph>& snap,
       const std::vector<graph::MutationBatch>& batches,
-      const std::vector<graph::NodeId>& dirty);
+      const std::vector<graph::NodeId>& dirty,
+      const std::vector<uint64_t>& dirty_bits);
 
   /// Runs core::RunSwapChain over order_ split at `target` (positions <
   /// target are kept, the rest excluded), mutating disc_ and the slots'
@@ -155,21 +158,25 @@ class ShedSession {
 
   bool have_state_ = false;
   uint64_t state_version_ = 0;
-  /// Rank-position scores keyed by packed edge key: the edge ranked i-th of
-  /// E in the last full pass scored E - i; incremental splices reuse the
-  /// dirty region's score slots. Higher = kept first.
-  std::unordered_map<uint64_t, double> score_;
-  std::unordered_set<uint64_t> kept_keys_;
-  /// Every live edge in rank order (eff desc, key asc) as of
-  /// state_version_; the first order_target_ entries are the kept set.
-  /// Incremental passes maintain it by linear merge instead of re-sorting:
-  /// between versions every untouched eff is scaled by the same decay
-  /// factor, which preserves relative order.
+  /// Every live edge in rank order as of state_version_: effs descending,
+  /// ties by key ascending except where a refinement swap traded two
+  /// occupants. The edge ranked i-th of E in the last full pass scored
+  /// E - i; incremental splices reuse the dirty region's slots. The first
+  /// order_target_ entries are the kept set. Incremental passes maintain
+  /// it by linear merge instead of re-sorting: between versions every
+  /// untouched eff is scaled by the same decay factor, which preserves
+  /// relative order.
   std::vector<RankedEdge> order_;
   uint64_t order_target_ = 0;
-  /// Merge-pass double buffer: reusing the retired order keeps the
-  /// per-reshed cost free of a |E|-sized allocation.
+  /// With decay only, aligned with order_: each slot's undecayed score, the
+  /// eff it was handed when its edge was last re-scored. A re-scored region
+  /// redistributes these, so refreshed edges regain full weight. Empty
+  /// without decay, where it would equal the effs.
+  std::vector<double> base_score_;
+  /// Merge-pass double buffers: reusing the retired arrays keeps the
+  /// per-reshed cost free of |E|-sized allocations.
   std::vector<RankedEdge> merge_scratch_;
+  std::vector<double> base_scratch_;
   std::optional<core::DegreeDiscrepancy> disc_;
 };
 

@@ -1,8 +1,8 @@
 #include "graph/mutation_io.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
-#include <unordered_map>
 
 #include "common/strings.h"
 #include "graph/edge_list_parse.h"
@@ -17,29 +17,50 @@ std::string PairName(NodeId u, NodeId v) {
 }  // namespace
 
 Status ValidateAndCanonicalizeBatch(MutationBatch* batch) {
-  // Key -> true when the first occurrence was an insert.
-  std::unordered_map<uint64_t, bool> seen;
-  seen.reserve(batch->size());
-  for (auto* side : {&batch->inserts, &batch->deletes}) {
-    const bool is_insert = side == &batch->inserts;
-    for (Edge& e : *side) {
-      if (e.u == e.v) {
-        return Status::InvalidArgument(
-            "mutation batch contains self-loop " + PairName(e.u, e.v));
-      }
-      if (e.u > e.v) std::swap(e.u, e.v);
-      const auto [it, inserted] = seen.emplace(EdgeKey(e), is_insert);
-      if (!inserted) {
-        const char* how =
-            it->second == is_insert
-                ? (is_insert ? "twice among inserts" : "twice among deletes")
-                : "as both insert and delete";
-        return Status::InvalidArgument("mutation batch lists edge " +
-                                       PairName(e.u, e.v) + " " + how);
-      }
+  // Scan order is inserts, then deletes. Canonicalize up to the first
+  // self-loop, then sort (key, scan index) pairs: within one key the lowest
+  // index is the first occurrence and the next one its first repeat, so the
+  // first error in scan order is the smallest such repeat or the self-loop.
+  const size_t num_inserts = batch->inserts.size();
+  const auto entry = [&](size_t i) -> Edge& {
+    return i < num_inserts ? batch->inserts[i]
+                           : batch->deletes[i - num_inserts];
+  };
+  size_t first_error = batch->size();
+  std::vector<std::pair<uint64_t, size_t>> keyed;
+  keyed.reserve(batch->size());
+  for (size_t i = 0; i < batch->size(); ++i) {
+    Edge& e = entry(i);
+    if (e.u == e.v) {
+      first_error = i;
+      break;
+    }
+    if (e.u > e.v) std::swap(e.u, e.v);
+    keyed.emplace_back(EdgeKey(e), i);
+  }
+  std::sort(keyed.begin(), keyed.end());
+  size_t first_seen = 0;
+  for (size_t k = 1; k < keyed.size(); ++k) {
+    // A third occurrence never wins: the second one precedes it.
+    if (keyed[k].first == keyed[k - 1].first &&
+        keyed[k].second < first_error) {
+      first_error = keyed[k].second;
+      first_seen = keyed[k - 1].second;
     }
   }
-  return Status::OK();
+  if (first_error == batch->size()) return Status::OK();
+  const Edge& e = entry(first_error);
+  if (e.u == e.v) {
+    return Status::InvalidArgument("mutation batch contains self-loop " +
+                                   PairName(e.u, e.v));
+  }
+  const bool is_insert = first_error < num_inserts;
+  const char* how =
+      (first_seen < num_inserts) == is_insert
+          ? (is_insert ? "twice among inserts" : "twice among deletes")
+          : "as both insert and delete";
+  return Status::InvalidArgument("mutation batch lists edge " +
+                                 PairName(e.u, e.v) + " " + how);
 }
 
 StatusOr<std::vector<MutationBatch>> ParseMutationText(

@@ -25,7 +25,7 @@ struct MutationBatch {
 };
 
 /// Canonical packed key for an undirected edge with u <= v. Used by
-/// batch-level duplicate detection and the incremental shedder's edge maps.
+/// batch-level duplicate detection and the incremental shedder's rank slots.
 inline uint64_t EdgeKey(NodeId u, NodeId v) {
   if (u > v) std::swap(u, v);
   return (static_cast<uint64_t>(u) << 32) | static_cast<uint64_t>(v);

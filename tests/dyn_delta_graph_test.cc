@@ -61,6 +61,27 @@ TEST(DynMutationIo, ValidateRejectsInsertDeleteConflict) {
       << status.message();
 }
 
+TEST(DynMutationIo, ValidateNamesTheFirstErrorInScanOrder) {
+  // Scan order is inserts, then deletes. {1, 2} sorts before {5, 6}, but
+  // {5, 6} repeats first; the self-loop comes after both repeats.
+  MutationBatch batch =
+      Batch({{1, 2}, {5, 6}, {6, 5}, {2, 1}}, {{9, 9}, {1, 2}});
+  EXPECT_EQ(graph::ValidateAndCanonicalizeBatch(&batch).message(),
+            "mutation batch lists edge {5, 6} twice among inserts");
+
+  // A key listed three times is named at its second occurrence, and a
+  // self-loop ahead of every repeat wins.
+  batch = Batch({{3, 4}, {8, 7}}, {{7, 8}, {4, 3}, {8, 7}});
+  EXPECT_EQ(graph::ValidateAndCanonicalizeBatch(&batch).message(),
+            "mutation batch lists edge {7, 8} as both insert and delete");
+  batch = Batch({{3, 4}}, {{5, 6}, {2, 2}, {6, 5}, {4, 3}});
+  EXPECT_EQ(graph::ValidateAndCanonicalizeBatch(&batch).message(),
+            "mutation batch contains self-loop {2, 2}");
+  batch = Batch({}, {{5, 6}, {1, 3}, {3, 1}, {6, 5}, {1, 3}});
+  EXPECT_EQ(graph::ValidateAndCanonicalizeBatch(&batch).message(),
+            "mutation batch lists edge {1, 3} twice among deletes");
+}
+
 TEST(DynMutationIo, ValidateCanonicalizes) {
   MutationBatch batch = Batch({{7, 2}}, {{9, 4}});
   ASSERT_TRUE(graph::ValidateAndCanonicalizeBatch(&batch).ok());
