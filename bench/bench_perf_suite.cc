@@ -2,7 +2,7 @@
 //
 // Times the ingest-to-shed pipeline stages — edge-list load, CSR build,
 // betweenness ranking (classic and hybrid fast path, and the ranking's final
-// order alone), CRR and BM2 reduction —
+// order alone), CRR and BM2 reduction, and the kept snapshot write —
 // on generated R-MAT and Barabási–Albert graphs at two sizes, and emits
 // machine-readable medians to BENCH_hotpath.json. tools/compare_bench.py
 // diffs two such files and flags >10% regressions; .github/workflows/ci.yml
@@ -48,6 +48,7 @@
 #include "core/bm2.h"
 #include "core/crr.h"
 #include "eval/flags.h"
+#include "graph/binary_io.h"
 #include "graph/edge_list_io.h"
 #include "graph/generators/generators.h"
 #include "graph/graph_builder.h"
@@ -192,7 +193,7 @@ void BenchGraph(const std::string& name, const graph::Graph& g, int repeats,
   EDGESHED_CHECK(save.ok()) << save.ToString();
   TimeOp(name, g, "load_edge_list", repeats,
          [&]() {
-           auto loaded = graph::LoadEdgeList(path);
+           auto loaded = graph::LoadEdgeList(path, {});
            EDGESHED_CHECK(loaded.ok()) << loaded.status().ToString();
            EDGESHED_CHECK_EQ(loaded->graph.NumEdges(), g.NumEdges());
          },
@@ -358,6 +359,52 @@ void BenchGraph(const std::string& name, const graph::Graph& g, int repeats,
            fast_kept = std::move(result->kept_edges);
          },
          results);
+
+  // --- kept_snapshot_write_t1 / _t2 / _tall: the service's G' write —
+  // graph::WriteKeptSnapshot of the CRR kept set above, streamed by chunk
+  // on the pool — at 1 and 2 threads and at every hardware thread, each
+  // sample to a fresh path. kept_subgraph_save is the path it replaced (the
+  // kept subgraph built in memory, then SaveBinaryGraph) for reference;
+  // both write the same bytes. ---
+  const std::string kept_path = std::string(tmpdir != nullptr ? tmpdir
+                                                              : "/tmp") +
+                                "/edgeshed_bench_kept_" + name + ".esg";
+  const auto time_kept_write = [&](const std::string& op, auto&& write) {
+    std::vector<double> samples;
+    for (int r = 0; r <= repeats; ++r) {  // sample 0 is the warm-up
+      std::remove(kept_path.c_str());
+      Stopwatch watch;
+      const Status written = write();
+      const double seconds = watch.ElapsedSeconds();
+      EDGESHED_CHECK(written.ok()) << written.ToString();
+      if (r > 0) samples.push_back(seconds);
+    }
+    results->push_back(MakeResult(name, g, op, samples));
+  };
+  const char* threads_env = std::getenv("EDGESHED_THREADS");
+  const std::string saved_threads = threads_env != nullptr ? threads_env : "";
+  const std::pair<const char*, int> write_counts[] = {
+      {"kept_snapshot_write_t1", 1},
+      {"kept_snapshot_write_t2", 2},
+      {"kept_snapshot_write_tall", static_cast<int>(hardware)}};
+  for (const auto& [op, threads] : write_counts) {
+    // The writer runs at DefaultThreadCount(), which re-reads this.
+    setenv("EDGESHED_THREADS", std::to_string(threads).c_str(), 1);
+    time_kept_write(op, [&] {
+      return graph::WriteKeptSnapshot(g, fast_kept, kept_path);
+    });
+    results->back().threads = threads;
+  }
+  if (threads_env != nullptr) {
+    setenv("EDGESHED_THREADS", saved_threads.c_str(), 1);
+  } else {
+    unsetenv("EDGESHED_THREADS");
+  }
+  time_kept_write("kept_subgraph_save", [&] {
+    return graph::SaveBinaryGraph(graph::SubgraphFromEdgeIds(g, fast_kept),
+                                  kept_path);
+  });
+  std::remove(kept_path.c_str());
 
   // --- bm2_reduce. ---
   const core::Bm2 bm2;

@@ -132,6 +132,18 @@ class DeltaGraph {
   /// The live edge set in canonical sorted order.
   std::vector<graph::Edge> LiveEdges() const;
 
+  /// EdgeIds of `edges` in this version: their positions in the order
+  /// ForEachLiveEdge walks, which are their ids in Materialize(). `edges`
+  /// must be canonical and strictly ascending. An edge's id is (base edges
+  /// below it) − (deleted base ids below those) + (inserted edges below
+  /// it); forward cursors over its lower endpoint's base CSR run,
+  /// deleted_ids() and inserted() give the three counts, so no live edge is
+  /// visited that `edges` does not hold. Ranges of `edges` run on up to
+  /// `threads` threads (0 = DefaultThreadCount()). Internal naming the
+  /// first edge that is not live or not above the one before it.
+  StatusOr<std::vector<graph::EdgeId>> EdgeIdsOf(
+      std::span<const graph::Edge> edges, int threads = 0) const;
+
   /// Folds the overlay into a fresh owned CSR. Bit-identical to
   /// Graph::FromEdges(NumNodes(), <live edges from scratch>) because the
   /// live edges are already canonical, sorted, and duplicate-free.

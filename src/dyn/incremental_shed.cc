@@ -39,9 +39,9 @@ StatusOr<uint64_t> ShedSession::RefineKeptSet(uint64_t target,
       });
 }
 
-DynamicShedResult ShedSession::BuildResult(uint64_t version) const {
+StatusOr<DynamicShedResult> ShedSession::BuildResult(const DeltaGraph& snap) {
   DynamicShedResult result;
-  result.version = version;
+  result.version = snap.version();
   // The kept set is exactly the order_ prefix.
   uint64_t all_bits = 0;
   for (uint64_t i = 0; i < order_target_; ++i) all_bits |= order_[i].key;
@@ -76,6 +76,12 @@ DynamicShedResult ShedSession::BuildResult(uint64_t version) const {
                       static_cast<graph::NodeId>(key & 0xFFFFFFFFull)});
     }
   }
+  auto ids = snap.EdgeIdsOf(result.kept, options_.threads);
+  if (!ids.ok()) {
+    have_state_ = false;
+    return ids.status();
+  }
+  result.kept_ids = std::move(ids).value();
   result.total_delta = disc_->TotalDelta();
   result.average_delta = disc_->AverageDelta();
   return result;
@@ -129,7 +135,7 @@ StatusOr<DynamicShedResult> ShedSession::FullShed(
 
   have_state_ = true;
   state_version_ = version;
-  DynamicShedResult result = BuildResult(version);
+  EDGESHED_ASSIGN_OR_RETURN(DynamicShedResult result, BuildResult(*snap));
   result.snapshot = snap;
   result.full_rank = true;
   result.seconds = watch.ElapsedSeconds();
@@ -487,7 +493,7 @@ StatusOr<DynamicShedResult> ShedSession::IncrementalShed(
 
   state_version_ = version;
   stage_watch.Restart();
-  DynamicShedResult result = BuildResult(version);
+  EDGESHED_ASSIGN_OR_RETURN(DynamicShedResult result, BuildResult(*snap));
   const double result_seconds = stage_watch.ElapsedSeconds();
   result.snapshot = snap;
   result.full_rank = false;
@@ -520,7 +526,7 @@ StatusOr<DynamicShedResult> ShedSession::Reshed(
   // full restart.
   if (!batches.has_value()) return FullShed(snap, cancel);
   if (batches->empty()) {
-    DynamicShedResult result = BuildResult(snap->version());
+    EDGESHED_ASSIGN_OR_RETURN(DynamicShedResult result, BuildResult(*snap));
     result.snapshot = snap;
     result.stats = {{"noop", 1.0}};
     return result;

@@ -54,6 +54,10 @@ struct DynamicShedOptions {
 struct DynamicShedResult {
   /// Kept edges, canonical (u < v), sorted ascending.
   std::vector<graph::Edge> kept;
+  /// Their EdgeIds in `snapshot` (DeltaGraph::EdgeIdsOf), aligned with
+  /// `kept`: the kept set as a from-scratch job on snapshot->Materialize()
+  /// would report it.
+  std::vector<graph::EdgeId> kept_ids;
   double total_delta = 0.0;
   double average_delta = 0.0;
   double seconds = 0.0;
@@ -63,8 +67,7 @@ struct DynamicShedResult {
   /// Version this result reflects.
   uint64_t version = 0;
   /// The pinned view the result was computed against (its version() ==
-  /// `version`), so callers can map `kept` onto canonical EdgeIds of the
-  /// materialized graph without racing later batches.
+  /// `version`), so callers can read it without racing later batches.
   std::shared_ptr<const DeltaGraph> snapshot;
   uint64_t dirty_vertices = 0;
   uint64_t dirty_edges = 0;
@@ -151,7 +154,10 @@ class ShedSession {
   StatusOr<uint64_t> RefineKeptSet(uint64_t target, uint64_t steps,
                                    uint64_t rng_seed);
 
-  DynamicShedResult BuildResult(uint64_t version) const;
+  /// The kept set (the order_ prefix, sorted) and its EdgeIds in `snap`.
+  /// A kept edge that is not live in `snap` is Internal and drops the
+  /// session's state, so the next Reshed() starts cold.
+  StatusOr<DynamicShedResult> BuildResult(const DeltaGraph& snap);
 
   std::shared_ptr<VersionedGraph> graph_;
   const DynamicShedOptions options_;

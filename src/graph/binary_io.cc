@@ -3,11 +3,12 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "common/crc32.h"
 #include "common/mapped_file.h"
 #include "common/parallel.h"
+#include "common/radix_sort.h"
 #include "common/strings.h"
 #include "graph/snapshot_format.h"
 
@@ -263,10 +265,13 @@ StatusOr<LoadedGraph> LoadSnapshotV3(std::shared_ptr<const MappedFile> file,
   return LoadedGraph{std::move(graph), std::move(original_ids)};
 }
 
-}  // namespace
-
-Status SaveBinaryGraph(const Graph& graph, const std::string& path,
-                       const SnapshotOptions& options) {
+/// The option checks both writers make for a graph of `num_nodes`
+/// vertices. Returns the original-id table to embed: an identity remap
+/// carries no information, so it comes back empty, which keeps the file
+/// smaller and byte-identical to one built by the out-of-core converter
+/// (it always drops identity tables).
+StatusOr<std::span<const uint64_t>> CheckSnapshotOptions(
+    const SnapshotOptions& options, uint64_t num_nodes) {
   if (options.version != 3) {
     return Status::InvalidArgument(StrFormat(
         "unsupported snapshot version %u (only 3 is written)",
@@ -283,72 +288,321 @@ Status SaveBinaryGraph(const Graph& graph, const std::string& path,
         "snapshot chunk_bytes must be in [4 KiB, 1 GiB]");
   }
   if (!options.original_ids.empty() &&
-      options.original_ids.size() != graph.NumNodes()) {
+      options.original_ids.size() != num_nodes) {
     return Status::InvalidArgument(
         "original_ids size disagrees with the node count");
   }
-  // An identity remap carries no information; leaving it out keeps the file
-  // smaller and makes the snapshot byte-identical to one built by the
-  // out-of-core converter, which always drops identity tables.
-  bool identity_ids = true;
   for (size_t i = 0; i < options.original_ids.size(); ++i) {
-    if (options.original_ids[i] != i) {
-      identity_ids = false;
-      break;
+    if (options.original_ids[i] != i) return options.original_ids;
+  }
+  return std::span<const uint64_t>{};
+}
+
+/// G' = (V, kept) as WriteKeptSnapshot emits it: the offsets section and a
+/// transpose index of each vertex's lower neighbours, but no adjacency or
+/// incident array. Vertex x's slots hold, in edge-id order, its lower
+/// neighbours (kept edges {u, x}, u < x: lower[lower_begin[x],
+/// lower_begin[x + 1])) and then its upper ones (kept edges {x, v}, v > x:
+/// the consecutive ids from offsets[x] - lower_begin[x]) — the order
+/// Graph::FromEdges writes.
+struct KeptCsr {
+  /// A lower neighbour u of some vertex x and the id of edge {u, x}.
+  struct Lower {
+    uint32_t id;
+    NodeId u;
+  };
+  std::span<const Edge> kept;
+  std::vector<uint64_t> offsets;      // n + 1, the offsets section
+  std::vector<uint32_t> lower_begin;  // n + 1
+  std::vector<Lower> lower;           // |kept|, grouped by upper endpoint
+};
+
+/// Counts degrees and builds the transpose index in two serial passes over
+/// `kept` (a split counting scatter ran slower at 2 threads: the scatter's
+/// random writes do not scale); InvalidArgument naming the first edge that
+/// is not canonical, in range and above its predecessor.
+StatusOr<KeptCsr> BuildKeptCsr(uint64_t num_nodes,
+                               std::span<const Edge> kept) {
+  if (kept.size() > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(
+        "kept snapshot edge count does not fit 32-bit ids");
+  }
+  KeptCsr csr;
+  csr.kept = kept;
+  // Counts first: offsets[x + 1] holds x's upper degree and
+  // lower_begin[x + 1] its lower degree until the prefix sums below.
+  csr.offsets.assign(num_nodes + 1, 0);
+  csr.lower_begin.assign(num_nodes + 1, 0);
+  for (uint64_t i = 0; i < kept.size(); ++i) {
+    const Edge& e = kept[i];
+    if (e.u >= e.v || e.v >= num_nodes || (i > 0 && !(kept[i - 1] < e))) {
+      return Status::InvalidArgument(StrFormat(
+          "kept edge %llu {%u, %u} is not canonical, below %llu and above "
+          "the edge before it",
+          static_cast<unsigned long long>(i), e.u, e.v,
+          static_cast<unsigned long long>(num_nodes)));
+    }
+    ++csr.offsets[e.u + 1];
+    ++csr.lower_begin[e.v + 1];
+  }
+  for (uint64_t x = 0; x < num_nodes; ++x) {
+    const uint32_t lower_degree = csr.lower_begin[x + 1];
+    csr.lower_begin[x + 1] += csr.lower_begin[x];
+    csr.offsets[x + 1] += csr.offsets[x] + lower_degree;
+  }
+  // Scanning ids ascending lists each vertex's lower neighbours ascending.
+  std::vector<uint32_t> next(csr.lower_begin.begin(),
+                             csr.lower_begin.end() - 1);
+  csr.lower.resize(kept.size());
+  for (uint64_t i = 0; i < kept.size(); ++i) {
+    const Edge& e = kept[i];
+    csr.lower[next[e.v]++] = {static_cast<uint32_t>(i), e.u};
+  }
+  return csr;
+}
+
+/// Adjacency (kIds false: neighbour ids) or incident (kIds true: edge ids)
+/// entries of slots [begin, end) into `out`.
+template <bool kIds, typename T>
+void FillSlots(const KeptCsr& csr, uint64_t begin, uint64_t end, T* out) {
+  const std::vector<uint64_t>& offsets = csr.offsets;
+  uint64_t x = static_cast<uint64_t>(
+      std::upper_bound(offsets.begin(), offsets.end(), begin) -
+      offsets.begin() - 1);
+  for (uint64_t s = begin; s < end; ++x) {
+    const uint64_t vertex_end = std::min(offsets[x + 1], end);
+    if (s >= vertex_end) continue;  // no slot of x left in range
+    const uint64_t lower = csr.lower_begin[x + 1] - csr.lower_begin[x];
+    uint64_t j = s - offsets[x];
+    for (; j < lower && s < vertex_end; ++j, ++s) {
+      const KeptCsr::Lower& entry = csr.lower[csr.lower_begin[x] + j];
+      *out++ = static_cast<T>(kIds ? entry.id : entry.u);
+    }
+    for (uint64_t id = offsets[x] - csr.lower_begin[x] + (j - lower);
+         s < vertex_end; ++s, ++id) {
+      *out++ = static_cast<T>(kIds ? id : csr.kept[id].v);
     }
   }
-  const std::span<const uint64_t> original_ids =
-      identity_ids ? std::span<const uint64_t>{} : options.original_ids;
+}
 
+/// Bytes [begin, end) of a slot section of T entries, through an aligned
+/// stack batch so any byte range (chunks need not split entries) comes out
+/// whole.
+template <bool kIds, typename T>
+void FillSlotBytes(const KeptCsr& csr, uint64_t begin, uint64_t end,
+                   char* out) {
+  constexpr uint64_t kBatch = 1024;
+  T batch[kBatch];
+  for (uint64_t e = begin / sizeof(T); e * sizeof(T) < end;) {
+    const uint64_t e_end =
+        std::min(e + kBatch, (end + sizeof(T) - 1) / sizeof(T));
+    FillSlots<kIds>(csr, e, e_end, batch);
+    const uint64_t lo = std::max(begin, e * sizeof(T));
+    const uint64_t hi = std::min(end, e_end * sizeof(T));
+    std::memcpy(out,
+                reinterpret_cast<const char*>(batch) + (lo - e * sizeof(T)),
+                hi - lo);
+    out += hi - lo;
+    e = e_end;
+  }
+}
+
+/// The bytes of a section payload held in memory.
+template <typename T>
+std::span<const char> Bytes(std::span<const T> values) {
+  return {reinterpret_cast<const char*>(values.data()), values.size_bytes()};
+}
+
+/// File bytes [begin, end) of the data region: bytes [lo, hi) of section s
+/// come from `section(s, lo, hi, out)`, and the padding between sections
+/// is zeroed.
+template <typename Section>
+void FillData(const SnapshotHeader& header, uint64_t begin, uint64_t end,
+              char* out, const Section& section) {
+  uint64_t pos = begin;
+  for (int s = 0; s < kSnapshotSectionCount && pos < end; ++s) {
+    const auto& placed = header.sections[static_cast<size_t>(s)];
+    const uint64_t placed_end = placed.offset + placed.bytes;
+    if (placed.bytes == 0 || placed_end <= pos) continue;
+    if (placed.offset >= end) break;
+    if (pos < placed.offset) {
+      std::memset(out + (pos - begin), 0, placed.offset - pos);
+      pos = placed.offset;
+    }
+    const uint64_t lo = pos - placed.offset;
+    const uint64_t hi = std::min(placed_end, end) - placed.offset;
+    section(s, lo, hi, out + (pos - begin));
+    pos += hi - lo;
+  }
+  if (pos < end) std::memset(out + (pos - begin), 0, end - pos);
+}
+
+/// Bytes a writer worker fills, checksums and writes at a time: the buffer
+/// stays in L2 between the fill and the CRC.
+constexpr uint64_t kWritePieceBytes = uint64_t{256} << 10;
+
+/// Writes exactly `len` bytes at `offset`, retrying short writes; returns 0
+/// or the errno of the failed write.
+int PwriteFully(int fd, const char* data, uint64_t len, uint64_t offset) {
+  while (len > 0) {
+    const ssize_t wrote = ::pwrite(fd, data, static_cast<size_t>(len),
+                                   static_cast<off_t>(offset));
+    if (wrote < 0) {
+      if (errno == EINTR) continue;
+      return errno;
+    }
+    data += wrote;
+    len -= static_cast<uint64_t>(wrote);
+    offset += static_cast<uint64_t>(wrote);
+  }
+  return 0;
+}
+
+/// Writes the snapshot `header` lays out at `path`, its sections filled by
+/// `section` as FillData calls it: the write path of both in-memory
+/// writers. Workers on the pool pull `chunk_bytes` chunks of the data
+/// region in turn and fill each piece by piece through one buffer; a piece
+/// is folded into its chunk's CRC from memory and pwritten at its offset,
+/// so the data region is never whole in memory and never read back. The
+/// header goes last. The gap between the header and the data region stays
+/// a hole, which reads as zeros.
+template <typename Section>
+Status WriteSnapshotSections(SnapshotHeader header, const std::string& path,
+                             const Section& section) {
+  const int fd =
+      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) {
+    return Status::IOError(StrFormat("cannot open %s for writing: %s",
+                                     path.c_str(), std::strerror(errno)));
+  }
+  struct FdGuard {
+    int fd;
+    ~FdGuard() { ::close(fd); }
+  } guard{fd};
+
+  const uint64_t data_start = header.DataStart();
+  const uint64_t file_bytes = header.FileBytes();
+  const uint64_t num_chunks = header.chunk_crcs.size();
+  const int threads = DefaultThreadCount();
+  std::atomic<uint64_t> next_chunk{0};
+  std::atomic<int> write_errno{0};
+  ParallelForEach(
+      0, std::min<uint64_t>(static_cast<uint64_t>(threads), num_chunks),
+      [&](uint64_t) {
+        const uint64_t buf_bytes =
+            std::min<uint64_t>(header.chunk_bytes, kWritePieceBytes);
+        const auto buf = std::make_unique_for_overwrite<char[]>(buf_bytes);
+        for (;;) {
+          const uint64_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
+          if (c >= num_chunks ||
+              write_errno.load(std::memory_order_relaxed) != 0) {
+            return;
+          }
+          const uint64_t chunk_begin = data_start + c * header.chunk_bytes;
+          const uint64_t chunk_end =
+              std::min(chunk_begin + header.chunk_bytes, file_bytes);
+          uint32_t state = kCrc32Init;
+          for (uint64_t pos = chunk_begin; pos < chunk_end;) {
+            const uint64_t len = std::min(buf_bytes, chunk_end - pos);
+            FillData(header, pos, pos + len, buf.get(), section);
+            state = Crc32Update(state, buf.get(), len);
+            if (const int err = PwriteFully(fd, buf.get(), len, pos); err) {
+              write_errno.store(err, std::memory_order_relaxed);
+              return;
+            }
+            pos += len;
+          }
+          header.chunk_crcs[c] = Crc32Finalize(state);
+        }
+      },
+      threads, /*grain=*/1);
+  int err = write_errno.load();
+  if (err == 0) {
+    const std::string encoded = EncodeSnapshotHeader(header);
+    err = PwriteFully(fd, encoded.data(), encoded.size(), 0);
+  }
+  if (err != 0) {
+    return Status::IOError(StrFormat("write failed: %s: %s", path.c_str(),
+                                     std::strerror(err)));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status SaveBinaryGraph(const Graph& graph, const std::string& path,
+                       const SnapshotOptions& options) {
+  EDGESHED_ASSIGN_OR_RETURN(const std::span<const uint64_t> original_ids,
+                            CheckSnapshotOptions(options, graph.NumNodes()));
   SnapshotHeader header = PlanSnapshotLayout(
       graph.NumNodes(), graph.NumEdges(), !original_ids.empty(),
       options.page_align, options.chunk_bytes);
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open for writing: " + path);
-
-  // Placeholder header + padding; the real header (it needs the chunk CRCs
-  // of the data we are about to write) is patched in afterwards.
-  {
-    const std::string zeros(header.DataStart(), '\0');
-    out.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
-  }
-
   // The empty graph's owned storage has no offsets array, but the section
   // still carries the single leading 0 so loaded shape checks hold.
-  static constexpr uint64_t kZeroOffset = 0;
-  const auto offsets = graph.RawOffsets();
-  const auto adjacency = graph.RawAdjacency();
-  const auto incident = graph.RawIncident();
-  const auto edges = graph.edges();
-  const std::pair<const void*, uint64_t> payloads[kSnapshotSectionCount] = {
-      offsets.empty()
-          ? std::pair<const void*, uint64_t>{&kZeroOffset, sizeof(kZeroOffset)}
-          : std::pair<const void*, uint64_t>{offsets.data(),
-                                             offsets.size_bytes()},
-      {adjacency.data(), adjacency.size_bytes()},
-      {incident.data(), incident.size_bytes()},
-      {edges.data(), edges.size_bytes()},
-      {original_ids.data(), original_ids.size_bytes()},
+  static constexpr uint64_t kZeroOffset[1] = {0};
+  const std::span<const uint64_t> offsets = graph.RawOffsets();
+  const std::span<const char> payloads[kSnapshotSectionCount] = {
+      Bytes(offsets.empty() ? std::span<const uint64_t>(kZeroOffset)
+                            : offsets),
+      Bytes(graph.RawAdjacency()),
+      Bytes(graph.RawIncident()),
+      Bytes(graph.edges()),
+      Bytes(original_ids),
   };
-  uint64_t pos = header.DataStart();
-  for (int s = 0; s < kSnapshotSectionCount; ++s) {
-    const auto& section = header.sections[static_cast<size_t>(s)];
-    if (section.bytes == 0) continue;
-    if (section.offset > pos) {
-      const std::string pad(section.offset - pos, '\0');
-      out.write(pad.data(), static_cast<std::streamsize>(pad.size()));
-    }
-    out.write(static_cast<const char*>(payloads[s].first),
-              static_cast<std::streamsize>(payloads[s].second));
-    pos = section.offset + section.bytes;
-  }
-  out.close();
-  if (!out) return Status::IOError("write failed: " + path);
+  return WriteSnapshotSections(
+      std::move(header), path,
+      [&](int s, uint64_t lo, uint64_t hi, char* out) {
+        std::memcpy(out, payloads[s].data() + lo, hi - lo);
+      });
+}
 
-  // Re-reads the freshly written (page-cached) data region to fill the
-  // chunk CRC table, then patches the real header over the placeholder.
-  return FinalizeSnapshotFile(path, std::move(header));
+Status WriteKeptSnapshot(uint64_t num_nodes, std::span<const Edge> kept,
+                         const std::string& path,
+                         const SnapshotOptions& options) {
+  EDGESHED_ASSIGN_OR_RETURN(const std::span<const uint64_t> original_ids,
+                            CheckSnapshotOptions(options, num_nodes));
+  EDGESHED_ASSIGN_OR_RETURN(const KeptCsr csr, BuildKeptCsr(num_nodes, kept));
+  SnapshotHeader header =
+      PlanSnapshotLayout(num_nodes, kept.size(), !original_ids.empty(),
+                         options.page_align, options.chunk_bytes);
+  const std::span<const char> copied[kSnapshotSectionCount] = {
+      Bytes(std::span<const uint64_t>(csr.offsets)), {}, {}, Bytes(kept),
+      Bytes(original_ids)};
+  return WriteSnapshotSections(
+      std::move(header), path,
+      [&](int s, uint64_t lo, uint64_t hi, char* out) {
+        if (s == kSectionAdjacency) {
+          FillSlotBytes<false, NodeId>(csr, lo, hi, out);
+        } else if (s == kSectionIncident) {
+          FillSlotBytes<true, EdgeId>(csr, lo, hi, out);
+        } else {
+          std::memcpy(out, copied[s].data() + lo, hi - lo);
+        }
+      });
+}
+
+Status WriteKeptSnapshot(const Graph& parent,
+                         std::span<const EdgeId> kept_ids,
+                         const std::string& path,
+                         const SnapshotOptions& options) {
+  std::vector<EdgeId> sorted;
+  if (!std::is_sorted(kept_ids.begin(), kept_ids.end())) {
+    sorted.assign(kept_ids.begin(), kept_ids.end());
+    RadixSortWords(&sorted);
+    kept_ids = sorted;
+  }
+  std::vector<Edge> kept(kept_ids.size());
+  for (size_t i = 0; i < kept_ids.size(); ++i) {
+    if (kept_ids[i] >= parent.NumEdges()) {
+      return Status::InvalidArgument(StrFormat(
+          "kept edge id %llu out of range (%llu edges)",
+          static_cast<unsigned long long>(kept_ids[i]),
+          static_cast<unsigned long long>(parent.NumEdges())));
+    }
+    kept[i] = parent.edge(kept_ids[i]);
+  }
+  return WriteKeptSnapshot(parent.NumNodes(), kept, path, options);
 }
 
 StatusOr<LoadedGraph> LoadSnapshot(const std::string& path,

@@ -43,8 +43,32 @@ struct SnapshotOptions {
 };
 
 /// Writes `graph` at `path` as a v3 snapshot laid out as `options` selects.
+/// The sections stream chunk by chunk on the worker pool, each chunk
+/// checksummed from memory, and the header is written last.
 Status SaveBinaryGraph(const Graph& graph, const std::string& path,
                        const SnapshotOptions& options = {});
+
+/// Writes G' = (V, kept) over `num_nodes` vertices at `path` as a v3
+/// snapshot, byte-identical to SaveBinaryGraph(Graph::FromEdges(num_nodes,
+/// kept), path, options) without building that Graph (DESIGN.md §14, "Kept
+/// snapshots"). `kept` must be canonical (u < v < num_nodes) and strictly
+/// ascending, as kept edges of a parent's canonical edge list in id order
+/// are; anything else is InvalidArgument. Each `chunk_bytes` chunk of the
+/// data region is filled in a small buffer on the worker pool, checksummed
+/// from memory and written at its offset; the header goes last. IOError
+/// naming `path` when the file cannot be opened or written.
+Status WriteKeptSnapshot(uint64_t num_nodes, std::span<const Edge> kept,
+                         const std::string& path,
+                         const SnapshotOptions& options = {});
+
+/// The same snapshot for the edges `kept_ids` (indices into
+/// parent.edges(), in any order; a copy is sorted when they are not
+/// ascending): byte-identical to SaveBinaryGraph(SubgraphFromEdgeIds(parent,
+/// kept_ids), path, options). An id out of range is InvalidArgument.
+Status WriteKeptSnapshot(const Graph& parent,
+                         std::span<const EdgeId> kept_ids,
+                         const std::string& path,
+                         const SnapshotOptions& options = {});
 
 /// Loads a v3 snapshot, memory-mapped and adopted zero-copy when
 /// `options.mmap` is set (the returned Graph keeps the mapping alive; see

@@ -125,10 +125,6 @@ StatusOr<LoadedGraph> LoadEdgeList(const std::string& path,
   return LoadedGraph{builder.Build(), std::move(original_ids)};
 }
 
-StatusOr<LoadedGraph> LoadEdgeList(const std::string& path) {
-  return LoadEdgeList(path, IngestOptions{});
-}
-
 Status SaveEdgeList(const Graph& graph, const std::string& path) {
   std::ofstream out(path);
   if (!out) {

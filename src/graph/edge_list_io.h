@@ -25,9 +25,6 @@ namespace edgeshed::graph {
 StatusOr<LoadedGraph> LoadEdgeList(const std::string& path,
                                    const IngestOptions& options);
 
-/// Back-compat shim: default IngestOptions.
-StatusOr<LoadedGraph> LoadEdgeList(const std::string& path);
-
 /// Writes `graph` as "u v" lines (dense ids), with a small header comment.
 Status SaveEdgeList(const Graph& graph, const std::string& path);
 

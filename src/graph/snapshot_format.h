@@ -117,12 +117,12 @@ std::vector<uint32_t> ComputeSnapshotChunkCrcs(const char* data,
                                                uint64_t chunk_bytes,
                                                int threads = 0);
 
-/// Writer finalize step shared by the in-memory saver (graph/binary_io.cc)
-/// and the out-of-core builder (graph/external_build.cc): the file at
-/// `path` must hold `header.FileBytes()` bytes with every section in place
-/// (the header region's content is ignored). Re-reads the (page-cached)
-/// data region to fill header.chunk_crcs, then patches the encoded header
-/// over bytes [0, HeaderBytes()).
+/// The out-of-core builder's (graph/external_build.cc) finalize step; the
+/// in-memory writers (graph/binary_io.cc) checksum chunks as they write
+/// them instead. The file at `path` must hold `header.FileBytes()` bytes
+/// with every section in place (the header region's content is ignored).
+/// Re-reads the (page-cached) data region to fill header.chunk_crcs, then
+/// patches the encoded header over bytes [0, HeaderBytes()).
 Status FinalizeSnapshotFile(const std::string& path, SnapshotHeader header);
 
 }  // namespace edgeshed::graph

@@ -724,14 +724,14 @@ StatusOr<core::SheddingResult> JobScheduler::Execute(
   StatusOr<core::SheddingResult> result =
       (*shedder)->Shed(**graph, shed_options);
   if (result.ok() && !spec.output_path.empty()) {
-    // Materialize G' and snapshot it for out-of-band consumers. The write
-    // is part of the job: a caller that asked for a snapshot must not see
-    // kDone without one existing on disk.
+    // Snapshot G' for out-of-band consumers, streamed from the parent's
+    // kept edges with no G' built in memory. The write is part of the job:
+    // a caller that asked for a snapshot must not see kDone without one
+    // existing on disk. v3 (mmap-ready) so any later load of the output is
+    // zero-copy.
     Stopwatch write_watch;
-    graph::Graph reduced = result->BuildReducedGraph(**graph);
-    // v3 (mmap-ready) so any later load of the output is zero-copy.
-    if (Status saved = graph::SaveBinaryGraph(reduced, spec.output_path,
-                                              graph::SnapshotOptions{});
+    if (Status saved = graph::WriteKeptSnapshot(**graph, result->kept_edges,
+                                                spec.output_path);
         !saved.ok()) {
       *run_seconds = watch.ElapsedSeconds();
       return saved;
@@ -793,27 +793,11 @@ StatusOr<core::SheddingResult> JobScheduler::ExecuteIncremental(
     return reshed.status();
   }
 
-  // Map the kept pairs onto EdgeIds in the result version's canonical
-  // order — both lists are sorted, so one merge pass suffices — making the
-  // answer shape-identical to a from-scratch job on the materialized graph.
+  // The session mapped its kept pairs onto EdgeIds of the pinned version,
+  // so the answer is shape-identical to a from-scratch job on the
+  // materialized graph.
   core::SheddingResult result;
-  result.kept_edges.reserve(reshed->kept.size());
-  {
-    size_t next = 0;
-    graph::EdgeId id = 0;
-    reshed->snapshot->ForEachLiveEdge([&](const graph::Edge& e) {
-      if (next < reshed->kept.size() && e == reshed->kept[next]) {
-        result.kept_edges.push_back(id);
-        ++next;
-      }
-      ++id;
-    });
-    if (next != reshed->kept.size()) {
-      *run_seconds = watch.ElapsedSeconds();
-      return Status::Internal(
-          "incremental re-shed kept an edge not in its own snapshot");
-    }
-  }
+  result.kept_edges = std::move(reshed->kept_ids);
   result.total_delta = reshed->total_delta;
   result.average_delta = reshed->average_delta;
   result.reduction_seconds = reshed->seconds;
@@ -823,17 +807,12 @@ StatusOr<core::SheddingResult> JobScheduler::ExecuteIncremental(
   result.stats.emplace_back("dirty_vertices",
                             static_cast<double>(reshed->dirty_vertices));
   if (!spec.output_path.empty()) {
-    // G' straight from the kept pairs: they are canonical, sorted and
-    // unique, and the mapping pass above proved each one live, so this
-    // equals the kept subgraph of the materialized snapshot.
+    // G' straight from the kept pairs: they are canonical, sorted and, as
+    // the id mapping proved, live in the pinned version.
     Stopwatch write_watch;
-    EDGESHED_ASSIGN_OR_RETURN(
-        graph::Graph reduced,
-        graph::Graph::FromEdges(
-            static_cast<graph::NodeId>(reshed->snapshot->NumNodes()),
-            std::move(reshed->kept)));
-    if (Status saved = graph::SaveBinaryGraph(reduced, spec.output_path,
-                                              graph::SnapshotOptions{});
+    if (Status saved = graph::WriteKeptSnapshot(reshed->snapshot->NumNodes(),
+                                                reshed->kept,
+                                                spec.output_path);
         !saved.ok()) {
       *run_seconds = watch.ElapsedSeconds();
       return saved;

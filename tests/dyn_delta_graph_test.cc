@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -398,6 +399,111 @@ TEST(DynDeltaGraph, LiveEdgesAfterReinsertingDeletedBaseEdge) {
   ExpectLiveEdgesMatchFromScratch(
       base, {Batch({{0, 4}}, {{0, 1}, {3, 4}, {6, 7}}), Batch({{3, 4}}, {}),
              Batch({{0, 1}}, {{0, 4}, {2, 3}})});
+}
+
+// DeltaGraph::EdgeIdsOf against the ForEachLiveEdge walk it replaces.
+
+/// Every live edge's id by walking the version, keyed by the pair.
+std::map<std::pair<NodeId, NodeId>, graph::EdgeId> WalkIds(
+    const DeltaGraph& snap) {
+  std::map<std::pair<NodeId, NodeId>, graph::EdgeId> ids;
+  graph::EdgeId id = 0;
+  snap.ForEachLiveEdge([&](const Edge& e) { ids[{e.u, e.v}] = id++; });
+  return ids;
+}
+
+/// EdgeIdsOf over all live edges and over every third one, at 1 and 4
+/// threads, equals the walk.
+void ExpectIdsMatchWalk(const DeltaGraph& snap) {
+  const auto walk = WalkIds(snap);
+  const std::vector<Edge> live = snap.LiveEdges();
+  std::vector<Edge> some;
+  for (size_t i = 1; i < live.size(); i += 3) some.push_back(live[i]);
+  const std::vector<const std::vector<Edge>*> lists = {&live, &some};
+  for (const std::vector<Edge>* edges : lists) {
+    for (const int threads : {1, 4}) {
+      auto ids = snap.EdgeIdsOf(*edges, threads);
+      ASSERT_TRUE(ids.ok()) << ids.status();
+      ASSERT_EQ(ids->size(), edges->size());
+      for (size_t i = 0; i < edges->size(); ++i) {
+        ASSERT_EQ((*ids)[i], walk.at({(*edges)[i].u, (*edges)[i].v}))
+            << "edge " << i << " at " << threads << " threads";
+      }
+    }
+  }
+}
+
+/// A path over 1..n-2 with chords, so vertex 0 and vertex n-1 have no base
+/// edge: an insert at either end lands before the first or after the last
+/// base edge. Large enough that 4 threads split the id mapping.
+graph::Graph ChordedPath(NodeId n) {
+  std::set<std::pair<NodeId, NodeId>> edges;
+  for (NodeId u = 1; u + 2 < n; ++u) edges.emplace(u, u + 1);
+  for (NodeId u = 1; u + 7 < n; u += 2) edges.emplace(u, u + 7);
+  for (NodeId u = 3; u + 30 < n; u += 5) edges.emplace(u, u + 30);
+  std::vector<Edge> list;
+  for (const auto& [u, v] : edges) list.push_back({u, v});
+  return testing::MustBuild(n, std::move(list));
+}
+
+TEST(DynDeltaGraph, EdgeIdsOfMatchesTheWalkAcrossScriptedVersions) {
+  const NodeId n = 1200;
+  const graph::Graph base = ChordedPath(n);
+  const Edge first = base.edge(0);
+  const Edge last = base.edge(base.NumEdges() - 1);
+  const Edge middle = base.edge(base.NumEdges() / 2);
+  VersionedGraph vg(base, {.auto_compact = false});
+  {
+    SCOPED_TRACE("empty overlay");
+    ExpectIdsMatchWalk(*vg.Snapshot());
+  }
+  // Inserts before the first and after the last base edge; deletes of base
+  // id 0, the last base id and one in between.
+  ASSERT_TRUE(vg.ApplyBatch(Batch({{0, 1}, {0, n - 1}, {n - 2, n - 1}},
+                                  {first, last, middle}))
+                  .ok());
+  {
+    SCOPED_TRACE("inserts at both ends, deletes of the first and last ids");
+    ExpectIdsMatchWalk(*vg.Snapshot());
+  }
+  // A deleted base edge re-inserted, and inserts spread through the range.
+  std::vector<Edge> spread = {middle};
+  for (NodeId u = 2; u + 100 < n; u += 97) spread.push_back({u, u + 100});
+  ASSERT_TRUE(vg.ApplyBatch(Batch(spread, {{0, 1}})).ok());
+  {
+    SCOPED_TRACE("deleted base edge re-inserted");
+    ExpectIdsMatchWalk(*vg.Snapshot());
+  }
+  ASSERT_TRUE(vg.Compact().ok());
+  ASSERT_EQ(vg.Snapshot()->OverlaySize(), 0u);
+  {
+    SCOPED_TRACE("after Compact()");
+    ExpectIdsMatchWalk(*vg.Snapshot());
+  }
+}
+
+TEST(DynDeltaGraph, EdgeIdsOfRejectsEdgesThatAreNotLiveAsInternal) {
+  const graph::Graph base = testing::Cycle(8);
+  VersionedGraph vg(base);
+  ASSERT_TRUE(vg.ApplyBatch(Batch({{0, 4}}, {{2, 3}})).ok());
+  const auto snap = vg.Snapshot();
+  const std::vector<std::vector<Edge>> bad = {
+      {{0, 1}, {2, 3}},  // a deleted base edge
+      {{0, 5}},          // never an edge
+      {{1, 2}, {0, 4}},  // live, but out of order
+      {{4, 3}},          // not canonical
+  };
+  for (const std::vector<Edge>& edges : bad) {
+    const auto ids = snap->EdgeIdsOf(edges);
+    ASSERT_FALSE(ids.ok());
+    EXPECT_EQ(ids.status().code(), StatusCode::kInternal);
+  }
+  // The message names the first edge that is not live.
+  EXPECT_NE(snap->EdgeIdsOf(bad[0]).status().message().find("{2, 3}"),
+            std::string::npos);
+  auto empty = snap->EdgeIdsOf({});
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->empty());
 }
 
 TEST(DynDeltaGraph, BackgroundCompactionPreservesVersionsAndEdges) {

@@ -36,7 +36,7 @@ class ExternalBuildTest : public ::testing::Test {
   /// Builds the reference snapshot through the in-memory path.
   std::string InMemorySnapshot(const std::string& text_path,
                                const std::string& name) {
-    auto loaded = LoadEdgeList(text_path);
+    auto loaded = LoadEdgeList(text_path, {});
     EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
     SnapshotOptions options;
     options.original_ids = loaded->original_ids;
@@ -119,7 +119,7 @@ TEST_F(ExternalBuildTest, ConvertedSnapshotServesIdenticalGraph) {
   }
   const std::string out = TempPath("serve.es3");
   ASSERT_TRUE(BuildSnapshotExternal(text, out).ok());
-  auto from_text = LoadEdgeList(text);
+  auto from_text = LoadEdgeList(text, {});
   auto from_snapshot = LoadSnapshot(out);
   ASSERT_TRUE(from_text.ok());
   ASSERT_TRUE(from_snapshot.ok());

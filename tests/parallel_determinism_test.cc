@@ -69,11 +69,11 @@ TEST_F(ParallelDeterminismTest, LoadEdgeListIsThreadCountInvariant) {
   const std::string path = WriteMessyEdgeList();
 
   SetThreads("1");
-  auto serial = graph::LoadEdgeList(path);
+  auto serial = graph::LoadEdgeList(path, {});
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
 
   SetThreads("8");
-  auto parallel = graph::LoadEdgeList(path);
+  auto parallel = graph::LoadEdgeList(path, {});
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
 
   EXPECT_EQ(serial->graph.NumNodes(), parallel->graph.NumNodes());

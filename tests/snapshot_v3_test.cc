@@ -268,7 +268,7 @@ TEST_F(SnapshotV3Test, RetiredMagicsAreRejectedNamingTheMagic) {
         LoadGraph(path),
         LoadGraph({path, GraphFormat::kSnapshot}),
         LoadGraph({path, GraphFormat::kText}),
-        LoadEdgeList(path),
+        LoadEdgeList(path, {}),
     };
     for (const StatusOr<LoadedGraph>& loaded : attempts) {
       ASSERT_FALSE(loaded.ok());
@@ -384,7 +384,7 @@ TEST_F(SnapshotV3Test, SkippingVerificationLoadsFlippedDataByte) {
 
 TEST_F(SnapshotV3Test, TextParserRejectsV3SnapshotNamingTheMagic) {
   const std::string path = SavedPaperSnapshot("astext.es3");
-  auto loaded = LoadEdgeList(path);
+  auto loaded = LoadEdgeList(path, {});
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(loaded.status().message().find("EDGSHED3"), std::string::npos)
