@@ -3,7 +3,9 @@
 // Times the ingest-to-shed pipeline stages — edge-list load, CSR build,
 // betweenness ranking (classic and hybrid fast path, and the ranking's final
 // order alone), CRR and BM2 reduction, and the kept snapshot write —
-// on generated R-MAT and Barabási–Albert graphs at two sizes, and emits
+// on generated R-MAT and Barabási–Albert graphs at two sizes, plus the
+// incremental crr-inc re-shed after 1% mutation batches on the BA graphs,
+// and emits
 // machine-readable medians to BENCH_hotpath.json. tools/compare_bench.py
 // diffs two such files and flags >10% regressions; .github/workflows/ci.yml
 // runs the --smoke variant on every push.
@@ -34,6 +36,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -47,11 +50,14 @@
 #include "common/strings.h"
 #include "core/bm2.h"
 #include "core/crr.h"
+#include "dyn/incremental_shed.h"
+#include "dyn/versioned_graph.h"
 #include "eval/flags.h"
 #include "graph/binary_io.h"
 #include "graph/edge_list_io.h"
 #include "graph/generators/generators.h"
 #include "graph/graph_builder.h"
+#include "graph/mutation_io.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 
@@ -437,6 +443,78 @@ void BenchGraph(const std::string& name, const graph::Graph& g, int repeats,
       << "fast-ranking CRR lost preservation quality on " << name;
 }
 
+/// A 1% mutation batch against `snap`: half deletes of live edges, half
+/// inserts of absent pairs, all distinct.
+graph::MutationBatch OnePercentBatch(const dyn::DeltaGraph& snap, Rng& rng) {
+  const std::vector<graph::Edge> live = snap.LiveEdges();
+  const size_t half = std::max<size_t>(1, live.size() / 200);
+  const auto n = static_cast<graph::NodeId>(snap.NumNodes());
+  std::unordered_set<uint64_t> used;
+  graph::MutationBatch batch;
+  while (batch.deletes.size() < half) {
+    const graph::Edge e = live[rng.UniformIndex(live.size())];
+    if (used.insert(graph::EdgeKey(e)).second) batch.deletes.push_back(e);
+  }
+  while (batch.inserts.size() < half) {
+    const auto u = static_cast<graph::NodeId>(rng.UniformIndex(n));
+    const auto v = static_cast<graph::NodeId>(rng.UniformIndex(n));
+    if (u == v || snap.HasEdge(u, v)) continue;
+    const graph::Edge e{std::min(u, v), std::max(u, v)};
+    if (used.insert(graph::EdgeKey(e)).second) batch.inserts.push_back(e);
+  }
+  return batch;
+}
+
+/// --- crr_inc_reshed_t1 / _t2 / _tall and crr_inc_result_t1 / _t2 /
+/// _tall: an incremental dyn::ShedSession re-shed after a 1% batch — the
+/// whole re-shed and its result step (`result_seconds`: the kept-set log
+/// merge and the id mapping) — at 1 and 2 threads and at every hardware
+/// thread. Each thread count starts its own session cold and replays the
+/// same batches, one warm-up and `repeats` timed, with compaction off so no
+/// sample pays a base swap. ---
+void BenchIncrementalReshed(const std::string& name, const graph::Graph& g,
+                            int repeats, double p,
+                            std::vector<BenchResult>* results) {
+  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
+  const std::pair<const char*, int> counts[] = {
+      {"t1", 1}, {"t2", 2}, {"tall", static_cast<int>(hardware)}};
+  for (const auto& [suffix, threads] : counts) {
+    auto versioned = std::make_shared<dyn::VersionedGraph>(
+        g, dyn::VersionedGraphOptions{.auto_compact = false});
+    dyn::DynamicShedOptions options;
+    options.p = p;
+    options.threads = threads;
+    dyn::ShedSession session(versioned, options);
+    auto cold = session.Reshed();
+    EDGESHED_CHECK(cold.ok()) << cold.status().ToString();
+    Rng rng(99);
+    std::vector<double> reshed_samples;
+    std::vector<double> result_samples;
+    for (int r = 0; r <= repeats; ++r) {  // round 0 is the warm-up
+      const Status applied =
+          versioned->ApplyBatch(OnePercentBatch(*versioned->Snapshot(), rng))
+              .status();
+      EDGESHED_CHECK(applied.ok()) << applied.ToString();
+      auto reshed = session.Reshed();
+      EDGESHED_CHECK(reshed.ok()) << reshed.status().ToString();
+      EDGESHED_CHECK(!reshed->full_rank) << "1% batch fell back on " << name;
+      if (r == 0) continue;
+      reshed_samples.push_back(reshed->seconds);
+      for (const auto& [stat, value] : reshed->stats) {
+        if (stat == "result_seconds") result_samples.push_back(value);
+      }
+    }
+    results->push_back(MakeResult(name, g, std::string("crr_inc_reshed_") +
+                                               suffix,
+                                  reshed_samples));
+    results->back().threads = threads;
+    results->push_back(MakeResult(name, g, std::string("crr_inc_result_") +
+                                               suffix,
+                                  result_samples));
+    results->back().threads = threads;
+  }
+}
+
 /// The hybrid kernel promises bit-identical scores to the classic kernel;
 /// a score drift would silently change every ranking the fast path emits,
 /// so the suite re-verifies the contract on every run.
@@ -532,12 +610,16 @@ int Main(int argc, char** argv) {
     graph::Graph g = smoke ? graph::BarabasiAlbert(4000, 6, rng)
                            : graph::BarabasiAlbert(20000, 8, rng);
     BenchGraph(smoke ? "ba_4k" : "ba_20k", g, repeats, p, &results);
+    BenchIncrementalReshed(smoke ? "ba_4k" : "ba_20k", g, repeats, p,
+                           &results);
   }
   {
     Rng rng(4);
     graph::Graph g = smoke ? graph::BarabasiAlbert(12000, 6, rng)
                            : graph::BarabasiAlbert(80000, 8, rng);
     BenchGraph(smoke ? "ba_12k" : "ba_80k", g, repeats, p, &results);
+    BenchIncrementalReshed(smoke ? "ba_12k" : "ba_80k", g, repeats, p,
+                           &results);
   }
 
   WriteJson(out, rev, repeats, results);

@@ -136,18 +136,19 @@ void ParallelSort(RandomIt first, RandomIt last, Compare comp = Compare(),
 /// Parallel reduction: `chunk_fn(chunk_begin, chunk_end) -> T` maps each
 /// chunk of [begin, end) to a partial, and `combine(acc, partial) -> T`
 /// folds the partials together. The chunk grid depends only on the range
-/// size — never on the thread count — and partials are combined in ascending
-/// chunk order, so the result (including floating-point results) is
-/// identical for every EDGESHED_THREADS value.
+/// size (at most 64 chunks of at least `min_per_chunk` items) — never on
+/// the thread count — and partials are combined in ascending chunk order,
+/// so the result (including floating-point results) is identical for every
+/// EDGESHED_THREADS value.
 template <typename T, typename ChunkFn, typename CombineFn>
 T ParallelReduce(uint64_t begin, uint64_t end, T identity, ChunkFn&& chunk_fn,
-                 CombineFn&& combine, int threads = 0) {
+                 CombineFn&& combine, int threads = 0,
+                 uint64_t min_per_chunk = 1024) {
   if (begin >= end) return identity;
   const uint64_t total = end - begin;
-  constexpr uint64_t kMinPerChunk = 1024;
   constexpr uint64_t kMaxChunks = 64;
-  const uint64_t chunks =
-      std::clamp<uint64_t>(total / kMinPerChunk, 1, kMaxChunks);
+  const uint64_t chunks = std::clamp<uint64_t>(
+      total / std::max<uint64_t>(1, min_per_chunk), 1, kMaxChunks);
   std::vector<T> partials(chunks, identity);
   ParallelForEach(
       0, chunks,

@@ -1,7 +1,9 @@
 #include "dyn/delta_graph.h"
 
 #include <atomic>
+#include <limits>
 
+#include "common/check.h"
 #include "common/parallel.h"
 #include "common/strings.h"
 
@@ -14,44 +16,44 @@ std::vector<graph::Edge> DeltaGraph::LiveEdges() const {
   return live;
 }
 
-StatusOr<std::vector<graph::EdgeId>> DeltaGraph::EdgeIdsOf(
+std::vector<uint32_t> DeltaGraph::BaseRanksOf(
     std::span<const graph::Edge> edges, int threads) const {
-  constexpr uint64_t kNone = ~uint64_t{0};
-  const uint64_t num_nodes = NumNodes();
   const graph::Graph& base = *base_;
+  EDGESHED_CHECK(base.NumEdges() <= std::numeric_limits<uint32_t>::max())
+      << "base ranks are 32-bit";
+  const uint64_t num_nodes = NumNodes();
   const std::span<const graph::Edge> base_edges = base.edges();
-  std::vector<graph::EdgeId> ids(edges.size());
-  std::atomic<uint64_t> first_bad{kNone};
+  std::vector<uint32_t> ranks(edges.size());
   ParallelFor(
       0, edges.size(),
       [&](uint64_t begin, uint64_t end) {
-        // The cursors start where binary searches put this range's first
-        // edge and only move forward: `rank` (base edges below the current
-        // edge) never falls along a sorted range.
-        size_t ins = static_cast<size_t>(
-            std::lower_bound(inserted_.begin(), inserted_.end(),
-                             edges[begin]) -
-            inserted_.begin());
-        size_t del = kNone;
-        graph::NodeId run_vertex = graph::kInvalidNode;
+        // The cursor moves forward along an ascending stretch and restarts
+        // with a binary search anywhere else.
+        graph::Edge last{graph::kInvalidNode, 0};
         std::span<const graph::NodeId> run;
         std::span<const graph::EdgeId> run_ids;
         size_t at = 0;
+        // Sparse lower endpoints (the joiners of a kept-set log) miss the
+        // cache on each CSR run: fetch the offsets 16 edges ahead and the
+        // runs 8 ahead.
+        constexpr uint64_t kAhead = 8;
+        const std::span<const uint64_t> offsets = base.RawOffsets();
+        const graph::NodeId* adjacency = base.RawAdjacency().data();
+        const graph::EdgeId* incident = base.RawIncident().data();
         for (uint64_t i = begin; i < end; ++i) {
+          if (i + 2 * kAhead < end && edges[i + 2 * kAhead].u < num_nodes) {
+            __builtin_prefetch(&offsets[edges[i + 2 * kAhead].u]);
+          }
+          if (i + kAhead < end && edges[i + kAhead].u < num_nodes) {
+            const uint64_t first = offsets[edges[i + kAhead].u];
+            __builtin_prefetch(adjacency + first);
+            __builtin_prefetch(incident + first);
+          }
           const graph::Edge& e = edges[i];
-          bool live = e.u < e.v && e.v < num_nodes &&
-                      (i == 0 || edges[i - 1] < e);
-          while (live && ins < inserted_.size() && inserted_[ins] < e) ++ins;
-          const bool inserted =
-              live && ins < inserted_.size() && inserted_[ins] == e;
-          graph::EdgeId rank = 0;
-          if (inserted) {
-            rank = static_cast<graph::EdgeId>(
-                std::lower_bound(base_edges.begin(), base_edges.end(), e) -
-                base_edges.begin());
-          } else if (live) {
-            if (e.u != run_vertex) {
-              run_vertex = e.u;
+          if (e.u < e.v && e.v < num_nodes) {
+            const bool forward = e.u == last.u && last.v < e.v;
+            last = e;
+            if (!forward) {
               run = base.Neighbors(e.u);
               run_ids = base.IncidentEdges(e.u);
               at = static_cast<size_t>(
@@ -59,21 +61,83 @@ StatusOr<std::vector<graph::EdgeId>> DeltaGraph::EdgeIdsOf(
                   run.begin());
             }
             while (at < run.size() && run[at] < e.v) ++at;
-            live = at < run.size() && run[at] == e.v;
-            if (live) rank = run_ids[at];
+            // Base ids follow the canonical order, so the least base edge
+            // not below e — (u, run[at]) when u has a neighbor w >= v, else
+            // the edge after u's last edge (u, w > u) — has id r.
+            if (at < run.size()) {
+              ranks[i] = static_cast<uint32_t>(run_ids[at]);
+              continue;
+            }
+            if (!run.empty() && run.back() > e.u) {
+              ranks[i] = static_cast<uint32_t>(run_ids.back() + 1);
+              continue;
+            }
           }
+          ranks[i] = static_cast<uint32_t>(
+              std::lower_bound(base_edges.begin(), base_edges.end(), e) -
+              base_edges.begin());
+        }
+      },
+      threads);
+  return ranks;
+}
+
+StatusOr<std::vector<graph::EdgeId>> DeltaGraph::IdsFromRanks(
+    std::span<const graph::Edge> edges, std::span<const uint32_t> ranks,
+    int threads) const {
+  EDGESHED_CHECK_EQ(edges.size(), ranks.size());
+  constexpr uint64_t kNone = ~uint64_t{0};
+  const uint64_t num_nodes = NumNodes();
+  const std::span<const graph::Edge> base_edges = base_->edges();
+  std::vector<graph::EdgeId> ids(edges.size());
+  std::atomic<uint64_t> first_bad{kNone};
+  ParallelFor(
+      0, edges.size(),
+      [&](uint64_t begin, uint64_t end) {
+        // Edges compare as packed (u, v) keys. The cursors start where
+        // binary searches put this range's first edge and only move
+        // forward, since r never falls along a sorted range; `next_ins` and
+        // `next_del` are what they point at, kNone past the end.
+        const auto key_of = [](const graph::Edge& e) {
+          return (uint64_t{e.u} << 32) | e.v;
+        };
+        const std::span<const graph::Edge> ins_edges = inserted_;
+        const std::span<const graph::EdgeId> del_ids = deleted_ids_;
+        size_t ins = static_cast<size_t>(
+            std::lower_bound(ins_edges.begin(), ins_edges.end(),
+                             edges[begin]) -
+            ins_edges.begin());
+        size_t del = static_cast<size_t>(
+            std::lower_bound(del_ids.begin(), del_ids.end(),
+                             graph::EdgeId{ranks[begin]}) -
+            del_ids.begin());
+        const auto ins_key = [&] {
+          return ins < ins_edges.size() ? key_of(ins_edges[ins]) : kNone;
+        };
+        const auto del_id = [&] {
+          return del < del_ids.size() ? del_ids[del] : kNone;
+        };
+        uint64_t next_ins = ins_key();
+        uint64_t next_del = del_id();
+        // A canonical key is above 0, so 0 lets the first edge through.
+        uint64_t prev = begin == 0 ? 0 : key_of(edges[begin - 1]);
+        for (uint64_t i = begin; i < end; ++i) {
+          const graph::Edge e = edges[i];
+          const uint64_t key = key_of(e);
+          const uint64_t rank = ranks[i];
+          bool live = (e.u < e.v) & (e.v < num_nodes) & (prev < key) &
+                      (rank <= base_edges.size());
           if (live) {
-            if (del == kNone) {
-              del = static_cast<size_t>(
-                  std::lower_bound(deleted_ids_.begin(), deleted_ids_.end(),
-                                   rank) -
-                  deleted_ids_.begin());
+            for (; next_ins < key; next_ins = ins_key()) ++ins;
+            for (; next_del < rank; next_del = del_id()) ++del;
+            if (next_ins == key) {
+              live = (rank == 0 || key_of(base_edges[rank - 1]) < key) &&
+                     (rank == base_edges.size() ||
+                      key < key_of(base_edges[rank]));
+            } else {
+              live = rank < base_edges.size() &&
+                     key_of(base_edges[rank]) == key && next_del != rank;
             }
-            while (del < deleted_ids_.size() && deleted_ids_[del] < rank) {
-              ++del;
-            }
-            live = inserted || del == deleted_ids_.size() ||
-                   deleted_ids_[del] != rank;
           }
           if (!live) {
             uint64_t seen = first_bad.load(std::memory_order_relaxed);
@@ -83,6 +147,7 @@ StatusOr<std::vector<graph::EdgeId>> DeltaGraph::EdgeIdsOf(
             return;
           }
           ids[i] = rank - del + ins;
+          prev = key;
         }
       },
       threads);

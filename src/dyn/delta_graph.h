@@ -134,15 +134,38 @@ class DeltaGraph {
 
   /// EdgeIds of `edges` in this version: their positions in the order
   /// ForEachLiveEdge walks, which are their ids in Materialize(). `edges`
-  /// must be canonical and strictly ascending. An edge's id is (base edges
-  /// below it) − (deleted base ids below those) + (inserted edges below
-  /// it); forward cursors over its lower endpoint's base CSR run,
-  /// deleted_ids() and inserted() give the three counts, so no live edge is
-  /// visited that `edges` does not hold. Ranges of `edges` run on up to
-  /// `threads` threads (0 = DefaultThreadCount()). Internal naming the
-  /// first edge that is not live or not above the one before it.
+  /// must be canonical and strictly ascending. The composition of
+  /// BaseRanksOf and IdsFromRanks, so no live edge is visited that `edges`
+  /// does not hold. Ranges of `edges` run on up to `threads` threads
+  /// (0 = DefaultThreadCount()). Internal naming the first edge that is not
+  /// live or not above the one before it.
   StatusOr<std::vector<graph::EdgeId>> EdgeIdsOf(
-      std::span<const graph::Edge> edges, int threads = 0) const;
+      std::span<const graph::Edge> edges, int threads = 0) const {
+    return IdsFromRanks(edges, BaseRanksOf(edges, threads), threads);
+  }
+
+  /// Each edge's base rank r: the number of base edges below it, which is
+  /// its base EdgeId for a base edge and its lower bound in base()->edges()
+  /// otherwise. r is the id of the least base edge (u, w >= v) in the lower
+  /// endpoint's CSR run, found by a cursor that moves forward along an
+  /// ascending stretch of `edges`, or one past u's last edge (u, w > u);
+  /// only when u has none, or the edge is not canonical, does r take a
+  /// binary search of the base edge list. r depends on the base alone, so
+  /// it holds across versions that share one. Ranges of `edges` run on up
+  /// to `threads` threads. The base must have fewer than 2^32 edges.
+  std::vector<uint32_t> BaseRanksOf(std::span<const graph::Edge> edges,
+                                    int threads = 0) const;
+
+  /// EdgeIds of `edges` from their base ranks (aligned): id = r − (deleted
+  /// base ids below r) + (inserted edges below the edge), from forward
+  /// cursors over deleted_ids() and inserted() split over up to `threads`
+  /// threads. An edge is live when it is in inserted() with r its lower
+  /// bound in the base, or base()->edges()[r] is the edge and r is not
+  /// deleted; anything else, or an edge not canonical or not above the one
+  /// before it, is Internal naming the first such edge.
+  StatusOr<std::vector<graph::EdgeId>> IdsFromRanks(
+      std::span<const graph::Edge> edges, std::span<const uint32_t> ranks,
+      int threads = 0) const;
 
   /// Folds the overlay into a fresh owned CSR. Bit-identical to
   /// Graph::FromEdges(NumNodes(), <live edges from scratch>) because the

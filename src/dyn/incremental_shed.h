@@ -54,7 +54,7 @@ struct DynamicShedOptions {
 struct DynamicShedResult {
   /// Kept edges, canonical (u < v), sorted ascending.
   std::vector<graph::Edge> kept;
-  /// Their EdgeIds in `snapshot` (DeltaGraph::EdgeIdsOf), aligned with
+  /// Their EdgeIds in `snapshot` (DeltaGraph::IdsFromRanks), aligned with
   /// `kept`: the kept set as a from-scratch job on snapshot->Materialize()
   /// would report it.
   std::vector<graph::EdgeId> kept_ids;
@@ -72,6 +72,53 @@ struct DynamicShedResult {
   uint64_t dirty_vertices = 0;
   uint64_t dirty_edges = 0;
   std::vector<std::pair<std::string, double>> stats;
+};
+
+/// A ShedSession's kept set E′, kept between versions (DESIGN.md §15
+/// "Result path"): the kept edges as canonical pairs ascending, each beside
+/// its base rank r (DeltaGraph::BaseRanksOf against the base it was
+/// computed on). Membership changes are logged as they happen; Commit nets
+/// the log and merges it into the arrays in one linear pass, looking r up
+/// only for the edges that join, so a re-shed pays for what changed rather
+/// than for |E′|.
+class KeptSet {
+ public:
+  /// Logs that the edge packed in `key` (graph::EdgeKey) joined or left.
+  void Log(uint64_t key, bool joined) {
+    (joined ? joined_ : left_).push_back(key);
+  }
+
+  /// Replaces the set with `keys` (any order), ranked against `snap`'s
+  /// base, and drops the log.
+  void Reset(std::vector<uint64_t> keys, const DeltaGraph& snap, int threads);
+
+  /// Applies the log and empties it. When `snap`'s base is not the one the
+  /// ranks were computed on (a compaction swapped it), every r is computed
+  /// again. Internal when the log does not fit the set: an edge leaves that
+  /// is absent, joins that is present, or nets more than one change; the
+  /// set is then unspecified until the next Reset.
+  Status Commit(const DeltaGraph& snap, int threads);
+
+  /// The kept EdgeIds in `snap` (DeltaGraph::IdsFromRanks). Call after
+  /// Commit against the same base.
+  StatusOr<std::vector<graph::EdgeId>> Ids(const DeltaGraph& snap,
+                                           int threads) const {
+    return snap.IdsFromRanks(edges_, ranks_, threads);
+  }
+
+  const std::vector<graph::Edge>& edges() const { return edges_; }
+
+ private:
+  std::vector<graph::Edge> edges_;
+  std::vector<uint32_t> ranks_;
+  /// The base ranks_ refers to. Non-owning, so a base replaced by
+  /// compaction is freed on time; the control block it pins cannot be
+  /// reused, so owner_before stays a sound identity test.
+  std::weak_ptr<const graph::Graph> base_;
+  /// Keys that joined and keys that left since the last Commit, in any
+  /// order, with repeats.
+  std::vector<uint64_t> joined_;
+  std::vector<uint64_t> left_;
 };
 
 /// A long-lived re-shedding session over one VersionedGraph (DESIGN.md §15).
@@ -97,9 +144,11 @@ struct DynamicShedResult {
 /// rank order with an event-driven pass (untouched runs between deleted or
 /// reassigned slots are block-copied and their kept membership patched
 /// only at the cut — no comparison sort, no global betweenness), and runs
-/// an O(batch)-bounded swap refinement through core::RunSwapChain. When
-/// the dirty region exceeds `full_rank_dirty_bound` — or history was
-/// trimmed past the session — it falls back to a full pass.
+/// an O(batch)-bounded swap refinement through core::RunSwapChain, then
+/// commits the kept-membership changes it logged to the kept set (see
+/// KeptSet). The region extraction and the classification scan run on the
+/// pool. When the dirty region exceeds `full_rank_dirty_bound` — or
+/// history was trimmed past the session — it falls back to a full pass.
 ///
 /// Sessions are deterministic: the same initial graph, batch sequence, and
 /// options yield the same kept set on every run and thread count. Not
@@ -154,9 +203,15 @@ class ShedSession {
   StatusOr<uint64_t> RefineKeptSet(uint64_t target, uint64_t steps,
                                    uint64_t rng_seed);
 
-  /// The kept set (the order_ prefix, sorted) and its EdgeIds in `snap`.
-  /// A kept edge that is not live in `snap` is Internal and drops the
-  /// session's state, so the next Reshed() starts cold.
+  /// Adds the edge packed in `key` to the kept set or removes it: Δ's
+  /// bookkeeping and kept_'s log, the path every membership change outside
+  /// the swap chain takes.
+  void SetKept(uint64_t key, bool kept);
+
+  /// Commits kept_ and returns the kept set and its EdgeIds in `snap`. A
+  /// log that does not fit kept_, or a kept edge that is not live in
+  /// `snap`, is Internal and drops the session's state, so the next
+  /// Reshed() starts cold.
   StatusOr<DynamicShedResult> BuildResult(const DeltaGraph& snap);
 
   std::shared_ptr<VersionedGraph> graph_;
@@ -184,6 +239,8 @@ class ShedSession {
   std::vector<RankedEdge> merge_scratch_;
   std::vector<double> base_scratch_;
   std::optional<core::DegreeDiscrepancy> disc_;
+  /// The order_ prefix [0, order_target_) as a sorted set.
+  KeptSet kept_;
 };
 
 }  // namespace edgeshed::dyn

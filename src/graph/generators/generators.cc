@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <unordered_set>
 #include <vector>
 
@@ -261,90 +260,6 @@ Graph PlantedPartition(NodeId num_nodes, uint32_t num_communities,
         builder.AddEdge(static_cast<NodeId>(ci_begin + index / cols),
                         static_cast<NodeId>(cj_begin + index % cols));
       });
-    }
-  }
-  return builder.Build();
-}
-
-Graph ConfigurationModel(const std::vector<uint32_t>& degrees, Rng& rng) {
-  // Stub list: vertex u appears degrees[u] times.
-  std::vector<NodeId> stubs;
-  uint64_t total = 0;
-  for (uint32_t d : degrees) total += d;
-  stubs.reserve(total);
-  for (NodeId u = 0; u < degrees.size(); ++u) {
-    for (uint32_t i = 0; i < degrees[u]; ++i) stubs.push_back(u);
-  }
-  rng.Shuffle(&stubs);
-
-  GraphBuilder builder;
-  builder.ReserveNodes(static_cast<NodeId>(degrees.size()));
-  std::unordered_set<uint64_t> used;
-  // Pair consecutive stubs; retry collisions a bounded number of times by
-  // re-shuffling the tail (simple and adequate for test-scale sequences).
-  size_t i = 0;
-  uint32_t retries = 0;
-  while (i + 1 < stubs.size()) {
-    NodeId u = stubs[i];
-    NodeId v = stubs[i + 1];
-    if (u == v || used.contains(PackEdge(u, v))) {
-      if (retries++ < 32 && i + 2 < stubs.size()) {
-        // Swap the offending stub with a random later one and retry.
-        size_t j = i + 2 + rng.UniformIndex(stubs.size() - i - 2);
-        std::swap(stubs[i + 1], stubs[j]);
-        continue;
-      }
-      // Give up on this pair: drop both stubs.
-      retries = 0;
-      i += 2;
-      continue;
-    }
-    retries = 0;
-    used.insert(PackEdge(u, v));
-    builder.AddEdge(u, v);
-    i += 2;
-  }
-  return builder.Build();
-}
-
-Graph ChungLu(const std::vector<double>& weights, Rng& rng) {
-  const auto n = static_cast<NodeId>(weights.size());
-  double total_weight = 0.0;
-  for (double w : weights) {
-    EDGESHED_CHECK_GE(w, 0.0);
-    total_weight += w;
-  }
-  GraphBuilder builder;
-  builder.ReserveNodes(n);
-  if (total_weight <= 0.0) return builder.Build();
-
-  // Order vertices by non-increasing weight, then use the Miller-Hagberg
-  // skipping construction: for each u, walk candidates v > u, skipping
-  // geometrically under the running probability bound q = min(1, w_u w_v /
-  // S), accepting with ratio p/q. O(n + m) in practice.
-  std::vector<NodeId> by_weight(n);
-  std::iota(by_weight.begin(), by_weight.end(), NodeId{0});
-  std::sort(by_weight.begin(), by_weight.end(), [&](NodeId a, NodeId b) {
-    return weights[a] > weights[b];
-  });
-  for (size_t iu = 0; iu + 1 < by_weight.size(); ++iu) {
-    const NodeId u = by_weight[iu];
-    const double wu = weights[u];
-    if (wu <= 0.0) break;
-    size_t iv = iu + 1;
-    double q = std::min(1.0, wu * weights[by_weight[iv]] / total_weight);
-    while (iv < by_weight.size() && q > 0.0) {
-      // Geometric skip under bound q.
-      if (q < 1.0) {
-        const double r = rng.UniformDouble();
-        iv += static_cast<size_t>(std::floor(std::log1p(-r) / std::log1p(-q)));
-      }
-      if (iv >= by_weight.size()) break;
-      const NodeId v = by_weight[iv];
-      const double p = std::min(1.0, wu * weights[v] / total_weight);
-      if (rng.UniformDouble() < p / q) builder.AddEdge(u, v);
-      q = p;  // weights are non-increasing, so p is a valid new bound
-      ++iv;
     }
   }
   return builder.Build();

@@ -51,19 +51,6 @@ Graph RMat(uint32_t scale, uint32_t edge_factor, double a, double b, double c,
 Graph PlantedPartition(NodeId num_nodes, uint32_t num_communities,
                        double p_in, double p_out, Rng& rng);
 
-/// Configuration model: a uniform-ish simple graph with (approximately) the
-/// given degree sequence, built by stub matching with rejection of
-/// self-loops and duplicates (leftover stubs are dropped, so realized
-/// degrees can fall slightly short on skewed sequences). The classic null
-/// model for "is property X explained by degrees alone?" — which is
-/// exactly the question degree-preserving shedding raises.
-Graph ConfigurationModel(const std::vector<uint32_t>& degrees, Rng& rng);
-
-/// Chung-Lu model: each pair (u, v) is an edge independently with
-/// probability min(1, w_u w_v / Σw). Expected degrees equal the weights;
-/// the soft-constraint sibling of the configuration model.
-Graph ChungLu(const std::vector<double>& weights, Rng& rng);
-
 }  // namespace edgeshed::graph
 
 #endif  // EDGESHED_GRAPH_GENERATORS_GENERATORS_H_

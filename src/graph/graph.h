@@ -30,8 +30,9 @@ struct Edge {
   friend bool operator==(const Edge& a, const Edge& b) {
     return a.u == b.u && a.v == b.v;
   }
+  /// Lexicographic (u, v), as one branch-free compare of packed keys.
   friend bool operator<(const Edge& a, const Edge& b) {
-    return a.u != b.u ? a.u < b.u : a.v < b.v;
+    return ((uint64_t{a.u} << 32) | a.v) < ((uint64_t{b.u} << 32) | b.v);
   }
 };
 

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
+#include <numeric>
 #include <tuple>
+#include <vector>
 
 #include "analytics/clustering.h"
 #include "analytics/components.h"
@@ -16,7 +20,6 @@
 #include "core/crr.h"
 #include "core/random_shedding.h"
 #include "graph/generators/generators.h"
-#include "graph/operations.h"
 
 namespace edgeshed {
 namespace {
@@ -47,7 +50,7 @@ class SubgraphLawsTest
     graph_ = nullptr;
   }
 
-  graph::Graph Reduce() const {
+  core::SheddingResult Shed() const {
     const auto& [method, p] = GetParam();
     StatusOr<core::SheddingResult> result = [&]() {
       switch (method) {
@@ -60,7 +63,21 @@ class SubgraphLawsTest
       }
     }();
     EDGESHED_CHECK(result.ok());
-    return result->BuildReducedGraph(*graph_);
+    return *std::move(result);
+  }
+
+  graph::Graph Reduce() const { return Shed().BuildReducedGraph(*graph_); }
+
+  /// The kept EdgeIds, ascending, and every EdgeId of the original.
+  std::vector<graph::EdgeId> KeptIds() const {
+    std::vector<graph::EdgeId> kept = Shed().kept_edges;
+    std::sort(kept.begin(), kept.end());
+    return kept;
+  }
+  static std::vector<graph::EdgeId> AllIds() {
+    std::vector<graph::EdgeId> all(graph_->NumEdges());
+    std::iota(all.begin(), all.end(), graph::EdgeId{0});
+    return all;
   }
 
   static graph::Graph* graph_;
@@ -113,31 +130,51 @@ TEST_P(SubgraphLawsTest, ComponentsNeverMerge) {
   }
 }
 
+// The set laws below hold on the kept EdgeIds: E' is a duplicate-free
+// subset of E's ids.
+
 TEST_P(SubgraphLawsTest, EdgeJaccardEqualsSharedFraction) {
-  graph::Graph reduced = Reduce();
-  // G' ⊆ G, so Jaccard(G, G') = |E'| / |E| exactly.
-  EXPECT_NEAR(graph::EdgeJaccard(*graph_, reduced),
-              static_cast<double>(reduced.NumEdges()) /
-                  static_cast<double>(graph_->NumEdges()),
+  const std::vector<graph::EdgeId> kept = KeptIds();
+  const std::vector<graph::EdgeId> all = AllIds();
+  std::vector<graph::EdgeId> shared;
+  std::vector<graph::EdgeId> either;
+  std::set_intersection(all.begin(), all.end(), kept.begin(), kept.end(),
+                        std::back_inserter(shared));
+  std::set_union(all.begin(), all.end(), kept.begin(), kept.end(),
+                 std::back_inserter(either));
+  // E' ⊆ E, so Jaccard(E, E') = |E'| / |E| exactly.
+  EXPECT_NEAR(static_cast<double>(shared.size()) /
+                  static_cast<double>(either.size()),
+              static_cast<double>(kept.size()) /
+                  static_cast<double>(all.size()),
               1e-12);
 }
 
 TEST_P(SubgraphLawsTest, UnionWithOriginalIsOriginal) {
-  graph::Graph reduced = Reduce();
-  graph::Graph merged = graph::GraphUnion(*graph_, reduced);
-  EXPECT_EQ(merged.NumEdges(), graph_->NumEdges());
+  const std::vector<graph::EdgeId> kept = KeptIds();
+  const std::vector<graph::EdgeId> all = AllIds();
+  std::vector<graph::EdgeId> merged;
+  std::set_union(all.begin(), all.end(), kept.begin(), kept.end(),
+                 std::back_inserter(merged));
+  EXPECT_EQ(merged, all);
 }
 
 TEST_P(SubgraphLawsTest, IntersectionWithOriginalIsReduced) {
-  graph::Graph reduced = Reduce();
-  graph::Graph inter = graph::GraphIntersection(*graph_, reduced);
-  EXPECT_EQ(inter.NumEdges(), reduced.NumEdges());
+  const std::vector<graph::EdgeId> kept = KeptIds();
+  const std::vector<graph::EdgeId> all = AllIds();
+  std::vector<graph::EdgeId> inter;
+  std::set_intersection(all.begin(), all.end(), kept.begin(), kept.end(),
+                        std::back_inserter(inter));
+  EXPECT_EQ(inter, kept);
 }
 
 TEST_P(SubgraphLawsTest, DifferencePartitionsEdges) {
-  graph::Graph reduced = Reduce();
-  graph::Graph shed = graph::GraphDifference(*graph_, reduced);
-  EXPECT_EQ(shed.NumEdges() + reduced.NumEdges(), graph_->NumEdges());
+  const std::vector<graph::EdgeId> kept = KeptIds();
+  const std::vector<graph::EdgeId> all = AllIds();
+  std::vector<graph::EdgeId> shed;
+  std::set_difference(all.begin(), all.end(), kept.begin(), kept.end(),
+                      std::back_inserter(shed));
+  EXPECT_EQ(shed.size() + kept.size(), all.size());
 }
 
 TEST_P(SubgraphLawsTest, DistanceProfileTotalNeverGrows) {

@@ -506,6 +506,49 @@ TEST(DynDeltaGraph, EdgeIdsOfRejectsEdgesThatAreNotLiveAsInternal) {
   EXPECT_TRUE(empty->empty());
 }
 
+TEST(DynDeltaGraph, BaseRanksOfCountsBaseEdgesBelowAnyEdge) {
+  const NodeId n = 300;
+  VersionedGraph vg(ChordedPath(n), {.auto_compact = false});
+  ASSERT_TRUE(vg.ApplyBatch(Batch({{0, 1}, {0, n - 1}, {5, 200}}, {})).ok());
+  const auto snap = vg.Snapshot();
+  const std::span<const Edge> base_edges = snap->base()->edges();
+  // Base edges, inserted edges, edges above every base edge and out of
+  // order: r is always the lower bound in the base edge list.
+  std::vector<Edge> edges = snap->LiveEdges();
+  edges.push_back({n - 2, n - 1});
+  edges.push_back({4, 6});
+  edges.push_back({0, 1});
+  for (const int threads : {1, 4}) {
+    const std::vector<uint32_t> ranks = snap->BaseRanksOf(edges, threads);
+    ASSERT_EQ(ranks.size(), edges.size());
+    for (size_t i = 0; i < edges.size(); ++i) {
+      EXPECT_EQ(ranks[i],
+                std::lower_bound(base_edges.begin(), base_edges.end(),
+                                 edges[i]) -
+                    base_edges.begin())
+          << "{" << edges[i].u << ", " << edges[i].v << "}";
+    }
+  }
+}
+
+TEST(DynDeltaGraph, IdsFromRanksRejectsRanksThatMissTheBase) {
+  VersionedGraph vg(testing::Cycle(8), {.auto_compact = false});
+  ASSERT_TRUE(vg.ApplyBatch(Batch({{0, 4}}, {{2, 3}})).ok());
+  const auto snap = vg.Snapshot();
+  const std::vector<Edge> live = snap->LiveEdges();
+  std::vector<uint32_t> ranks = snap->BaseRanksOf(live);
+  ASSERT_TRUE(snap->IdsFromRanks(live, ranks).ok());
+  // A base edge with another base edge's rank, an inserted edge with a rank
+  // that is not its lower bound, and a rank past the base.
+  for (const size_t i : {size_t{0}, size_t{1}, live.size() - 1}) {
+    std::vector<uint32_t> wrong = ranks;
+    wrong[i] += i + 1 == live.size() ? 5 : 1;
+    const auto ids = snap->IdsFromRanks(live, wrong);
+    ASSERT_FALSE(ids.ok()) << "edge " << i;
+    EXPECT_EQ(ids.status().code(), StatusCode::kInternal);
+  }
+}
+
 TEST(DynDeltaGraph, BackgroundCompactionPreservesVersionsAndEdges) {
   VersionedGraphOptions options;
   options.compact_ratio = 0.01;  // compact after every batch
